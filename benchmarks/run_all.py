@@ -1,4 +1,4 @@
-"""Regenerate the measurement block of EXPERIMENTS.md.
+"""Run every benchmark script and print its experiment tables.
 
 Usage::
 

@@ -1,7 +1,7 @@
 """The one front door: every backend behind ``connect`` and ``collection``.
 
 Before this module the repo had grown one entry point per subsystem --
-``repro.store.memory_collection`` and its ``repro.mongo`` twin,
+``repro.store.memory_collection``,
 ``open_database`` for durable stores, ``sharded_collection`` for the
 partitioned ones, ``repro.client.connect`` for a server.  This module
 is the redesigned surface: **two constructors** that cover all of them,

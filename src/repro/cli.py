@@ -565,18 +565,13 @@ def _cmd_find(args: argparse.Namespace) -> int:
                 return _print_explain(corpus.explain(filter_doc))
             if args.shards is not None:
                 rows = corpus.find_rows(filter_doc, projection)
-                for doc_id, value in rows:
-                    print(f"{doc_id}\t{json.dumps(value)}")
-                return 0 if rows else 1
-            query = compile_mongo_find(filter_doc, projection)
-            matched = planner.match_ids(corpus, query)
-            applied = query.projection
-            for doc_id in matched:
-                value = corpus.get(doc_id).to_value()
-                if applied is not None:
-                    value = applied.apply_value(value)
+            else:
+                rows = planner.find_rows(
+                    corpus, compile_mongo_find(filter_doc, projection)
+                )
+            for doc_id, value in rows:
                 print(f"{doc_id}\t{json.dumps(value)}")
-        return 0 if matched else 1
+        return 0 if rows else 1
 
     with open(args.documents, encoding="utf-8") as handle:
         documents = json.load(handle)

@@ -1,19 +1,17 @@
-"""MongoDB ``find`` filters compiled onto JNL (Section 4.1), the
-Section-6 projection transformation, and aggregation pipelines compiled
-onto the store/IR/planner stack."""
+"""MongoDB ``find`` filters (Section 4.1: a value-space kernel plus an
+exact JNL lowering), the Section-6 projection transformation, and
+aggregation pipelines compiled onto the store/IR/planner stack."""
 
 from repro.mongo.aggregate import (
-    AggregateExplain,
     CompiledPipeline,
     aggregate,
     compile_pipeline,
     match_value,
     naive_aggregate,
 )
-from repro.mongo.find import Collection, compile_filter, memory_collection
+from repro.mongo.find import Collection, compile_filter
 from repro.mongo.projection import Projection
 from repro.mongo.update import (
-    UpdateExplain,
     UpdateResult,
     compile_update,
     naive_update_value,
@@ -24,16 +22,13 @@ from repro.mongo.update import (
 
 __all__ = [
     "Collection",
-    "memory_collection",
     "compile_filter",
     "Projection",
-    "AggregateExplain",
     "CompiledPipeline",
     "aggregate",
     "compile_pipeline",
     "match_value",
     "naive_aggregate",
-    "UpdateExplain",
     "UpdateResult",
     "compile_update",
     "naive_update_value",

@@ -13,29 +13,26 @@ module implements its practical core -- ``$match``, ``$project``,
   under the ``"mongo-aggregate"`` namespace, keyed on the canonical
   JSON text of the pipeline);
 * the **leading run of ``$match`` stages** is merged into one find
-  filter and compiled through :func:`repro.query.compiled.
-  compile_mongo_find` -- so it lowers into the shared logical-plan IR,
-  and over an indexed collection the planner prunes candidates via the
-  secondary indexes before any per-document work, exactly like ``find``;
+  filter compiled through :func:`repro.query.compiled.
+  compile_mongo_find`, and over a collection it runs through the
+  planner's one candidate-and-verify loop
+  (:class:`repro.query.planner.Scan`), exactly like ``find``: index
+  pruning from the exact JNL lowerings, the semantic verdict, and the
+  compiled value tests deciding every candidate;
 * every **downstream stage** runs as a streaming generator
   (:mod:`repro.query.stages`) over the surviving documents -- nothing
   is materialised between stages except where ``$sort``/``$group``/
-  ``$count`` inherently must.
+  ``$count`` inherently must.  A later ``$match`` is a filter stage
+  over the same compiled value tests.
 
-All ``$match`` evaluation happens in value space (the compiled
-:func:`compile_value_filter` closures; :func:`match_value` is the
-per-call interpreter the naive reference uses) with the same operator
-semantics as the ``find`` filter compiler -- the compiled JNL form of
-the leading run exists only for its logical plan, i.e. for index
-pruning.  Whether a pipeline is *accepted* never depends on stage
-position: when the leading run is valid in value space but outside the
-find compiler's dialect (a float comparison bound, a ``$regex`` beyond
-the KeyLang subset such as ``(?i)``), the pipeline still compiles and
-runs with identical semantics -- the leading match just scans instead
-of pruning, which the explain report surfaces as ``"streamed"``.
-:func:`naive_aggregate` is the reference evaluator -- eager,
-list-at-a-time, no compilation, no pruning -- that the differential
-tests pit the staged executor against.
+So every ``$match`` has one semantics (Botoeva et al.), whatever its
+stage position: a filter with no exact lowering (a float bound, a
+``$regex`` such as ``(?i)...``) compiles and runs identically -- a
+leading one just scans instead of pruning, which the explain report
+surfaces as ``"streamed"``.  :func:`naive_aggregate` is the reference
+evaluator -- eager, list-at-a-time, no compilation, no pruning, its
+``$match`` the per-call interpreter :func:`match_value` -- that the
+differential tests pit the staged executor against.
 """
 
 from __future__ import annotations
@@ -48,9 +45,17 @@ from typing import Any, Iterable, Iterator
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError
-from repro.explain import AggregateExplain, Explain, ShardExplain, StageExplain
+from repro.explain import Explain, ShardExplain, StageExplain
 from repro.model.tree import JSONTree
-from repro.mongo.find import _is_operator_doc, _require_int, _require_list
+from repro.mongo.find import (
+    _TYPE_CHECKS,
+    _eq_mongo,
+    _is_number,
+    _is_operator_doc,
+    _require_int,
+    _require_list,
+    _require_number,
+)
 from repro.mongo.projection import Projection
 from repro.query import optimizer, planner
 from repro.query.compiled import CompiledQuery, compile_mongo_find
@@ -75,12 +80,10 @@ from repro.query.stages import (
     set_path,
     sort_key,
     split_field_path,
-    values_equal,
 )
 
 __all__ = [
     "STAGE_OPS",
-    "AggregateExplain",
     "StageExplain",
     "ShardExplain",
     "CompiledPipeline",
@@ -91,7 +94,6 @@ __all__ = [
     "explain_pipeline",
     "partial_aggregate",
     "match_value",
-    "compile_value_filter",
     "naive_aggregate",
 ]
 
@@ -110,44 +112,12 @@ _DIALECT = "mongo-aggregate"
 
 
 # ---------------------------------------------------------------------------
-# Value-space find filters (non-leading $match and the naive reference).
+# The reference filter interpreter (naive evaluator and test oracle).
 #
-# Semantics mirror repro.mongo.find.compile_filter: a dotted path
-# resolves to at most one node (digit segments are array indexes), a
-# navigated condition requires the node to exist, and a scalar equality
-# also matches arrays containing the value (one array level, like the
-# compiled ``X_{0:inf}`` axis).
+# Re-reads the filter document on every call and shares only the
+# operand checks with repro.mongo.find, whose compiled value tests are
+# what every execution path runs.
 # ---------------------------------------------------------------------------
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_number(operator: str, operand: Any) -> None:
-    if not _is_number(operand):
-        raise ParseError(f"{operator} takes a number, got {operand!r}")
-
-
-def _eq_mongo(node: Any, operand: Any) -> bool:
-    """MongoDB equality at a node: exact, or array-containment for
-    scalar operands."""
-    if values_equal(node, operand):
-        return True
-    if isinstance(operand, (dict, list)):
-        return False
-    return isinstance(node, list) and any(
-        values_equal(element, operand) for element in node
-    )
-
-
-_TYPE_CHECKS = {
-    "object": lambda node: isinstance(node, dict),
-    "array": lambda node: isinstance(node, list),
-    "string": lambda node: isinstance(node, str),
-    "number": _is_number,
-    "int": _is_number,
-}
 
 
 def _op_holds(operator: str, operand: Any, node: Any) -> bool:
@@ -174,10 +144,10 @@ def _op_holds(operator: str, operand: Any, node: Any) -> bool:
         _require_list(operator, operand)
         return not any(_eq_mongo(node, item) for item in operand)
     if operator == "$type":
-        check = _TYPE_CHECKS.get(operand)
-        if check is None:
+        entry = _TYPE_CHECKS.get(operand) if isinstance(operand, str) else None
+        if entry is None:
             raise ParseError(f"unsupported $type operand {operand!r}")
-        return check(node)
+        return entry[0](node)
     if operator == "$size":
         _require_int(operator, operand)
         return isinstance(node, list) and len(node) == operand
@@ -221,11 +191,10 @@ def _match_field(value: Any, path: str, spec: dict[str, Any]) -> bool:
 def match_value(filter_doc: dict[str, Any], value: Any) -> bool:
     """Evaluate a ``find`` filter directly on a Python JSON value.
 
-    The value-space twin of :func:`repro.mongo.find.compile_filter`
-    (same operator subset, same one-node path semantics), used for
-    ``$match`` stages past the pipeline head -- where documents are
-    pipeline products, not collection members -- and by the naive
-    reference evaluator the differential tests compare against.
+    The per-call reference interpreter of the filter semantics that
+    :func:`repro.mongo.find.compile_conjuncts` compiles (same operator
+    subset, same one-node path semantics), used by the naive reference
+    evaluator the differential tests compare against.
     """
     if not isinstance(filter_doc, dict):
         raise ParseError("a find filter is a JSON object")
@@ -252,132 +221,6 @@ def match_value(filter_doc: dict[str, Any], value: Any) -> bool:
             if not _eq_mongo(node, spec):
                 return False
     return True
-
-
-def compile_value_filter(filter_doc: dict[str, Any]) -> Any:
-    """Compile a find filter into a value-space predicate closure.
-
-    Same semantics as :func:`match_value` (which interprets the filter
-    document per call -- the naive reference path), but field paths are
-    split, operator documents classified and boolean structure resolved
-    **once**: the staged executor matches each candidate with plain
-    closure calls.  The differential tests pit the two against each
-    other on every randomised pipeline.
-    """
-    if not isinstance(filter_doc, dict):
-        raise ParseError("a find filter is a JSON object")
-    predicates: list[Any] = []
-    for key, spec in filter_doc.items():
-        if key in ("$and", "$or", "$nor"):
-            _require_list(key, spec)
-            compiled = [compile_value_filter(sub) for sub in spec]
-            if key == "$and":
-                predicates.append(
-                    lambda value, c=compiled: all(p(value) for p in c)
-                )
-            elif key == "$or":
-                predicates.append(
-                    lambda value, c=compiled: any(p(value) for p in c)
-                )
-            else:
-                predicates.append(
-                    lambda value, c=compiled: not any(p(value) for p in c)
-                )
-        elif key.startswith("$"):
-            raise ParseError(f"unsupported top-level operator {key!r}")
-        elif _is_operator_doc(spec):
-            predicates.append(_compile_field_ops(key, spec))
-        else:
-            segments = split_field_path(key)
-            predicates.append(
-                lambda value, s=segments, operand=spec: _eq_mongo(
-                    resolve_path(value, s), operand
-                )
-            )
-    if len(predicates) == 1:
-        return predicates[0]
-    return lambda value: all(p(value) for p in predicates)
-
-
-_FIELD_OPS = (
-    "$eq",
-    "$ne",
-    "$gt",
-    "$gte",
-    "$lt",
-    "$lte",
-    "$in",
-    "$nin",
-    "$type",
-    "$size",
-    "$regex",
-    "$elemMatch",
-    "$not",
-)
-
-
-def _validate_operand(operator: str, operand: Any) -> None:
-    """Eager operand checks, so a bad filter fails at *compile* time
-    regardless of stage position or whether any row ever reaches it."""
-    if operator in ("$gt", "$gte", "$lt", "$lte"):
-        _require_number(operator, operand)
-    elif operator == "$size":
-        _require_int(operator, operand)
-    elif operator in ("$in", "$nin"):
-        _require_list(operator, operand)
-    elif operator == "$type":
-        if operand not in _TYPE_CHECKS:
-            raise ParseError(f"unsupported $type operand {operand!r}")
-    elif operator == "$regex":
-        if not isinstance(operand, str):
-            raise ParseError("$regex takes a string")
-        try:
-            re.compile(operand)
-        except re.error as exc:
-            raise ParseError(f"invalid $regex pattern {operand!r}: {exc}") from exc
-    elif operator == "$elemMatch":
-        if not isinstance(operand, dict):
-            raise ParseError("$elemMatch takes a filter document")
-        if _is_operator_doc(operand):
-            _validate_operator_doc(operand)
-        else:
-            compile_value_filter(operand)
-    elif operator == "$not":
-        if not isinstance(operand, dict):
-            raise ParseError("$not takes an operator document")
-        _validate_operator_doc(operand)
-    # $eq / $ne accept any operand.
-
-
-def _validate_operator_doc(spec: dict[str, Any]) -> None:
-    for operator, operand in spec.items():
-        if operator not in _FIELD_OPS:
-            raise ParseError(f"unsupported operator {operator!r}")
-        _validate_operand(operator, operand)
-
-
-def _compile_field_ops(key: str, spec: dict[str, Any]) -> Any:
-    segments = split_field_path(key)
-    exists_flag = spec.get("$exists")
-    rest = tuple((op, arg) for op, arg in spec.items() if op != "$exists")
-    for op, arg in rest:
-        if op not in _FIELD_OPS:
-            raise ParseError(f"unsupported operator {op!r}")
-        _validate_operand(op, arg)
-
-    def predicate(value: Any) -> bool:
-        node = resolve_path(value, segments)
-        if exists_flag is not None and bool(exists_flag) != (
-            node is not MISSING
-        ):
-            return False
-        if rest:
-            if node is MISSING:
-                return False
-            return all(_op_holds(op, arg, node) for op, arg in rest)
-        return True
-
-    return predicate
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +339,7 @@ def _unwind_segments(spec: Any) -> tuple[str, ...]:
 def _build_stage(op: str, spec: Any) -> Stage:
     """Validate one non-leading stage spec and build its executor."""
     if op == "$match":
-        return FilterStage(compile_value_filter(spec))
+        return FilterStage(compile_mongo_find(spec).matches)
     if op == "$project":
         return ProjectStage(Projection(spec).apply_value)
     if op == "$unwind":
@@ -522,11 +365,6 @@ def _build_stage(op: str, spec: Any) -> Stage:
 # ---------------------------------------------------------------------------
 # The compiled pipeline.
 # ---------------------------------------------------------------------------
-
-
-# StageExplain/ShardExplain moved to repro.explain (the unified report);
-# AggregateExplain survives there as a deprecated constructor shim.  All
-# three stay importable from this module for source compatibility.
 
 
 def _window_bound(stages: tuple[Stage, ...]) -> int | None:
@@ -555,16 +393,13 @@ class CompiledPipeline:
 
     ``lead_query`` is the merged leading-``$match`` run compiled as a
     Mongo find filter (``None`` when the pipeline does not start with a
-    match, or when the filter falls outside the find compiler's
-    dialect and so cannot carry a logical plan): it carries the shared
-    logical-plan IR, so collection execution prunes candidates through
-    the secondary indexes exactly like ``find``.  ``lead_pred`` is the
-    authoritative value-space matcher for the same run (``None`` only
-    without a leading match).  ``stages`` are the downstream physical
-    stages, run
-    as a generator chain over the survivors.  No evaluation state lives
-    on the compiled object, so one pipeline can be shared freely across
-    collections and mutations.
+    match): over a collection it runs through the planner's
+    :class:`~repro.query.planner.Scan` exactly like ``find`` -- index
+    pruning, semantic verdict, compiled value tests.  ``stages`` are
+    the downstream physical stages, run as a generator chain over the
+    survivors.  No evaluation state lives on the compiled object, so
+    one pipeline can be shared freely across collections and
+    mutations.
 
     Compilation also fixes the pipeline's **shard decomposition** (the
     commuting-stages split of the Botoeva et al. formalisation): the
@@ -584,7 +419,6 @@ class CompiledPipeline:
         "source",
         "pipeline",
         "lead_filter",
-        "lead_pred",
         "lead_count",
         "lead_query",
         "stages",
@@ -609,20 +443,9 @@ class CompiledPipeline:
         self.lead_count = split
         self.lead_filter: dict[str, Any] | None = None
         self.lead_query: CompiledQuery | None = None
-        self.lead_pred = None
         if lead:
             self.lead_filter = lead[0] if len(lead) == 1 else {"$and": lead}
-            # The value-space compilation is authoritative: it validates
-            # the filter and delivers the verdict on every candidate.
-            self.lead_pred = compile_value_filter(self.lead_filter)
-            try:
-                self.lead_query = compile_mongo_find(self.lead_filter)
-            except ParseError:
-                # Valid in value space but outside the find compiler's
-                # dialect (float comparison bounds, a $regex beyond the
-                # KeyLang subset): keep the match leading, without the
-                # logical plan -- so no index pruning, a full scan.
-                self.lead_query = None
+            self.lead_query = compile_mongo_find(self.lead_filter)
         self.stages: tuple[Stage, ...] = tuple(
             _build_stage(op, spec) for op, spec in parsed[split:]
         )
@@ -647,76 +470,43 @@ class CompiledPipeline:
 
     # ------------------------------------------------------------------
 
-    def _collection_rows(
-        self, collection: Any, no_semantic: bool = False
-    ) -> Iterator[Any]:
-        """Leading-match survivors of a store collection, index-pruned.
-
-        Candidates come from folding the compiled filter's sargable
-        predicates over the secondary indexes (a sound superset); the
-        final verdict per candidate is the value-space matcher, so only
-        the handful of candidate documents are ever materialised --
-        the loop never touches the pruned ids at all.  An enforced
-        semantic verdict short-circuits first: ``"empty"`` yields
-        nothing, ``"all"`` streams every live document verify-free.
-        """
-        decision = optimizer.semantic_plan(
-            collection, self.lead_query, no_semantic=no_semantic
-        )
-        kind = optimizer.effective_kind(decision)
-        if kind == "empty":
-            return iter(())
-        if kind == "all":
-            return (tree.to_value() for _, tree in collection.documents())
-        return self._survivors(collection, self._candidates(collection))
-
-    def _survivors(
-        self, collection: Any, candidates: set[int] | None
-    ) -> Iterator[Any]:
-        lead_pred = self.lead_pred
-        if lead_pred is None:
-            for _, tree in collection.documents():
-                yield tree.to_value()
-            return
-        count = optimizer.count_verify
-        if candidates is None:
-            for _, tree in collection.documents():
-                value = tree.to_value()
-                count()
-                if lead_pred(value):
-                    yield value
-            return
-        for doc_id in sorted(candidates):
-            value = collection.get(doc_id).to_value()
-            count()
-            if lead_pred(value):
-                yield value
-
-    def _candidates(self, collection: Any) -> set[int] | None:
-        indexes = collection.indexes
-        if indexes is None or self.lead_query is None:
-            return None
-        return planner.candidate_ids(
-            self.lead_query.plan.match_predicate, indexes
+    def _scan(
+        self,
+        collection: Any,
+        *,
+        no_semantic: bool = False,
+        verdict: "str | None" = None,
+    ) -> planner.Scan:
+        """The leading match over a store collection: the planner's one
+        candidate-and-verify loop (see :class:`~repro.query.planner.Scan`
+        for ``verdict``)."""
+        return planner.Scan(
+            collection,
+            self.lead_query,
+            no_semantic=no_semantic,
+            verdict=verdict,
         )
 
-    def _item_rows(self, items: Iterable[Any]) -> Iterator[Any]:
-        """Leading-match survivors of bare trees/values (no indexes).
+    def _rows(
+        self, source: Any, no_semantic: bool = False
+    ) -> tuple[Iterator[Any], tuple[Stage, ...]]:
+        """The input rows and the stages to run over them.
 
-        Trees materialise first and are matched by the same value-space
-        predicate as every other path, so a pipeline yields identical
-        rows whatever flavour the input arrives in.
+        A store collection feeds the leading match's survivors.  Bare
+        trees/values have no indexes: they materialise first and the
+        leading match runs as a plain filter stage, with the same value
+        tests as every other path.
         """
-        for item in items:
-            if isinstance(item, JSONTree):
-                item = item.to_value()
-            if self.lead_pred is None or self.lead_pred(item):
-                yield item
-
-    def _rows(self, source: Any, no_semantic: bool = False) -> Iterator[Any]:
         if hasattr(source, "documents") and hasattr(source, "indexes"):
-            return self._collection_rows(source, no_semantic)
-        return self._item_rows(source)
+            scan = self._scan(source, no_semantic=no_semantic)
+            return (value for _, value in scan), self.stages
+        rows = (
+            item.to_value() if isinstance(item, JSONTree) else item
+            for item in source
+        )
+        if self.lead_query is None:
+            return rows, self.stages
+        return rows, (FilterStage(self.lead_query.matches),) + self.stages
 
     def _scatter_payload(
         self, source: Any, no_semantic: bool
@@ -755,7 +545,8 @@ class CompiledPipeline:
         self, source: Any, *, no_semantic: bool = False
     ) -> Iterator[Any]:
         """Lazy variant of :meth:`execute` (one generator per stage)."""
-        return run_stages(self.stages, self._rows(source, no_semantic))
+        rows, stages = self._rows(source, no_semantic)
+        return run_stages(stages, rows)
 
     # ------------------------------------------------------------------
     # Scatter-gather execution (one partial per shard, merged here).
@@ -778,51 +569,13 @@ class CompiledPipeline:
         skip the semantic pass; ``None``: decide locally against this
         shard's own context).
         """
-        if verdict is None:
-            decision = optimizer.semantic_plan(collection, self.lead_query)
-            kind = optimizer.effective_kind(decision)
-        elif verdict == "off":
-            kind = "none"
-        else:
-            kind = verdict
-        total = len(collection)
-        if kind in ("empty", "all"):
-            candidates = None
+        scan = self._scan(collection, verdict=verdict)
+        if scan.kind in ("empty", "all"):
             scanned = 0
         else:
-            candidates = self._candidates(collection)
-            scanned = total if candidates is None else len(candidates)
-        matched = 0
-
-        def survivor_pairs() -> Iterator[tuple[int, Any]]:
-            nonlocal matched
-            if kind == "empty":
-                return
-            lead_pred = self.lead_pred
-            if kind == "all":
-                for doc_id, tree in collection.documents():
-                    matched += 1
-                    yield doc_id, tree.to_value()
-                return
-            count = optimizer.count_verify
-            if candidates is None:
-                for doc_id, tree in collection.documents():
-                    value = tree.to_value()
-                    if lead_pred is not None:
-                        count()
-                    if lead_pred is None or lead_pred(value):
-                        matched += 1
-                        yield doc_id, value
-                return
-            for doc_id in sorted(candidates):
-                value = collection.get(doc_id).to_value()
-                count()
-                if lead_pred(value):
-                    matched += 1
-                    yield doc_id, value
-
+            scanned = scan.total if scan.candidates is None else scan.candidates
         ranked = run_stages_ranked(
-            self.stages[: self.shard_map_count], survivor_pairs()
+            self.stages[: self.shard_map_count], iter(scan)
         )
         strategy = self.merge_strategy
         data: Any
@@ -847,10 +600,10 @@ class CompiledPipeline:
             returned = len(data)
         return {
             "strategy": strategy,
-            "total": total,
-            "candidates": None if candidates is None else len(candidates),
+            "total": scan.total,
+            "candidates": scan.candidates,
             "scanned": scanned,
-            "matched": matched,
+            "matched": scan.matched,
             "returned": returned,
             "data": data,
         }
@@ -891,12 +644,11 @@ class CompiledPipeline:
         """Run over an indexed collection, reporting what was pruned
         by indexes versus streamed (the find explain's aggregation
         sibling), including the semantic optimizer's verdict."""
-        decision = optimizer.semantic_plan(
-            collection, self.lead_query, no_semantic=no_semantic
-        )
-        semantics = None if decision is None else decision.semantics_explain()
         scatter = getattr(collection, "scatter_partial_aggregate", None)
         if scatter is not None:
+            decision = optimizer.semantic_plan(
+                collection, self.lead_query, no_semantic=no_semantic
+            )
             kind = optimizer.effective_kind(decision)
             if no_semantic:
                 semantic = "off"
@@ -907,46 +659,18 @@ class CompiledPipeline:
             partials = scatter(
                 {"pipeline": self.pipeline, "semantic": semantic}
             )
-            return self._explain_sharded(partials, semantics)
-        total = len(collection)
-        kind = optimizer.effective_kind(decision)
-        if kind == "empty":
-            results = sum(1 for _ in run_stages(self.stages, iter(())))
-            matched = 0
-            candidates = None
-            scanned = 0
-            survivors: Iterator[Any] = iter(())
-        elif kind == "all":
-            all_rows = (tree.to_value() for _, tree in collection.documents())
-            results = sum(1 for _ in run_stages(self.stages, all_rows))
-            matched = total  # the premise entails the match: every doc
-            candidates = None
-            scanned = 0
-            survivors = iter(())
-        else:
-            raw_candidates = self._candidates(collection)
-            scanned = (
-                total if raw_candidates is None else len(raw_candidates)
+            return self._explain_sharded(
+                partials,
+                None if decision is None else decision.semantics_explain(),
             )
-            survivors = self._survivors(collection, raw_candidates)
-            matched = 0
-
-            def counted() -> Iterator[Any]:
-                nonlocal matched
-                for value in survivors:
-                    matched += 1
-                    yield value
-
-            results = sum(1 for _ in run_stages(self.stages, counted()))
-            # An early-exiting stage ($limit) stops pulling; finish the
-            # matched count over the untouched survivors.
-            for _ in survivors:
-                matched += 1
-            candidates = (
-                raw_candidates if raw_candidates is None
-                else len(raw_candidates)
-            )
-        lead_mode = "index-pruned" if candidates is not None else "streamed"
+        scan = self._scan(collection, no_semantic=no_semantic)
+        survivors = (value for _, value in scan)
+        results = sum(1 for _ in run_stages(self.stages, survivors))
+        # An early-exiting stage ($limit) stops pulling; finish the
+        # matched count over the untouched survivors.
+        for _ in survivors:
+            pass
+        lead_mode = "index-pruned" if scan.candidates is not None else "streamed"
         reports = [StageExplain("$match", lead_mode)] * self.lead_count
         reports.extend(
             StageExplain(stage.op, "materialised" if stage.blocking else "streamed")
@@ -956,13 +680,13 @@ class CompiledPipeline:
             kind="aggregate",
             dialect=_DIALECT,
             source=self.source,
-            total=total,
-            candidates=candidates,
-            scanned=scanned,
-            matched=matched,
+            total=scan.total,
+            candidates=scan.candidates,
+            scanned=scan.scanned,
+            matched=scan.matched,
             results=results,
             stages=tuple(reports),
-            semantics=semantics,
+            semantics=scan.semantics(),
         )
 
     def _explain_sharded(

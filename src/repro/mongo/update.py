@@ -11,12 +11,11 @@ existing stack end to end:
   :class:`repro.store.update.CompiledUpdate` program (registered in the
   process-wide artifact cache under the ``"mongo-update"`` namespace,
   keyed on the canonical JSON text of the update document);
-* **target selection** goes through the PR-3 planner: the filter
-  compiles through :func:`repro.query.compiled.compile_mongo_find` so
-  its logical plan prunes candidates via the secondary indexes, and the
-  authoritative per-candidate verdict is the same value-space predicate
-  the aggregation front-end uses (a filter outside the find compiler's
-  dialect still works -- it just scans);
+* **target selection** is the planner's one candidate-and-verify
+  loop (:class:`repro.query.planner.Scan`): the filter compiles through
+  :func:`repro.query.compiled.compile_mongo_find`, its logical plan
+  prunes candidates via the secondary indexes, and its compiled value
+  tests decide each candidate -- exactly as for ``find``;
 * **application** is delta index maintenance
   (:meth:`repro.store.Collection.apply_update`): only the postings
   under mutated paths are retired/re-added, never a full
@@ -35,18 +34,14 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError, UpdateError
-from repro.explain import Explain, UpdateExplain
-from repro.mongo.aggregate import (
-    _op_holds,
-    _validate_operator_doc,
-    compile_value_filter,
-)
-from repro.mongo.find import _is_operator_doc
-from repro.query import optimizer, planner
+from repro.explain import Explain
+from repro.mongo.find import _is_operator_doc, compile_operators
+from repro.query import planner
 from repro.query.compiled import compile_mongo_find
 from repro.query.stages import split_field_path, values_equal
 from repro.store.indexes import DeltaOps
@@ -69,7 +64,6 @@ from repro.store.update import (
 __all__ = [
     "UPDATE_OPS",
     "UpdateResult",
-    "UpdateExplain",
     "parse_update",
     "compile_update",
     "update_cache_key",
@@ -105,11 +99,6 @@ class UpdateResult:
     matched_count: int
     modified_count: int
     upserted_id: int | None = None
-
-
-# UpdateExplain moved to repro.explain as a deprecated constructor shim
-# over the unified Explain report; it stays importable from this module
-# for source compatibility.
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +143,12 @@ def _each_items(operator: str, operand: Any) -> tuple:
 def _pull_keep(path: str, condition: Any) -> Any:
     """Compile a ``$pull`` condition into a *keep* predicate."""
     condition = copy.deepcopy(condition)
-    if isinstance(condition, dict) and _is_operator_doc(condition):
-        _validate_operator_doc(condition)
-        tests = tuple(condition.items())
-        return lambda element: not all(
-            _op_holds(op, arg, element) for op, arg in tests
-        )
     if isinstance(condition, dict):
-        matches = compile_value_filter(condition)
+        matches = (
+            compile_operators(condition)
+            if _is_operator_doc(condition)
+            else compile_mongo_find(condition).matches
+        )
         return lambda element: not matches(element)
     return lambda element: not values_equal(element, condition)
 
@@ -268,60 +255,21 @@ def _select_targets(
     *,
     first_only: bool = False,
     no_semantic: bool = False,
-) -> tuple[list[tuple[int, Any]], int | None, int, Any]:
-    """Matching documents, index-pruned where the filter allows.
+) -> tuple[list[tuple[int, Any]], planner.Scan]:
+    """Matching ``(id, value)`` pairs and the scan that found them.
 
-    Returns ``(matched (id, value) pairs, candidate count or None,
-    scanned, semantic decision)``.  The value-space predicate is
-    authoritative; the compiled find query exists only for its logical
-    plan (pruning and semantic proofs), and a filter outside the find
-    dialect simply scans.  An enforced semantic ``"empty"`` verdict
-    selects no targets without materialising a document; ``"all"``
-    selects every live document without per-value verification.  The
-    matched values are handed on to :meth:`Collection.apply_update` so
-    no document is materialised twice per call.
+    The planner's one candidate-and-verify loop, reading pending update
+    values in place (``peek``): the matched values are handed on to
+    :meth:`Collection.apply_update`, so no document is materialised
+    twice per call.
     """
-    try:
-        query = compile_mongo_find(filter_doc)
-    except ParseError:
-        query = None
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
+    scan = planner.Scan(
+        collection,
+        compile_mongo_find(filter_doc),
+        no_semantic=no_semantic,
+        peek=True,
     )
-    kind = optimizer.effective_kind(decision)
-    if kind == "empty":
-        return [], None, 0, decision
-    matches = compile_value_filter(filter_doc)
-    candidates = None
-    if (
-        kind != "all"
-        and collection.indexes is not None
-        and query is not None
-    ):
-        candidates = planner.candidate_ids(
-            query.plan.match_predicate, collection.indexes
-        )
-    ids = collection.doc_ids() if candidates is None else sorted(candidates)
-    matched: list[tuple[int, Any]] = []
-    scanned = 0
-    if kind == "all":
-        for doc_id in ids:
-            scanned += 1
-            matched.append((doc_id, collection._peek_value(doc_id)))
-            if first_only:
-                break
-    else:
-        count = optimizer.count_verify
-        for doc_id in ids:
-            scanned += 1
-            value = collection._peek_value(doc_id)
-            count()
-            if matches(value):
-                matched.append((doc_id, value))
-                if first_only:
-                    break
-    candidate_count = None if candidates is None else len(candidates)
-    return matched, candidate_count, scanned, decision
+    return list(islice(scan, 1 if first_only else None)), scan
 
 
 def _run_update(
@@ -335,9 +283,7 @@ def _run_update(
 ) -> UpdateResult:
     """The shared select → (upsert | apply) → count tail of every
     write entry point."""
-    matched, _, _, _ = _select_targets(
-        collection, filter_doc, first_only=first_only
-    )
+    matched, _ = _select_targets(collection, filter_doc, first_only=first_only)
     if not matched:
         if upsert:
             return _upsert(collection, filter_doc, compiled)
@@ -473,7 +419,7 @@ def first_match_id(collection: Any, filter_doc: Any) -> int | None:
     routing the single-document write to the owning shard updates
     exactly the document the unsharded path would have.
     """
-    matched, _, _, _ = _select_targets(collection, filter_doc, first_only=True)
+    matched, _ = _select_targets(collection, filter_doc, first_only=True)
     return matched[0][0] if matched else None
 
 
@@ -502,7 +448,7 @@ def explain_update(
     collection or its indexes changes.  ``first_only`` previews
     ``update_one`` instead of ``update_many``."""
     compiled = compile_update(update_doc)
-    matched, candidates, scanned, decision = _select_targets(
+    matched, scan = _select_targets(
         collection, filter_doc, first_only=first_only, no_semantic=no_semantic
     )
     ops = DeltaOps()
@@ -523,16 +469,16 @@ def explain_update(
         kind="update",
         source=update_cache_key(filter_doc),
         update_source=compiled.source,
-        total=len(collection),
-        candidates=candidates,
-        scanned=scanned,
+        total=scan.total,
+        candidates=scan.candidates,
+        scanned=scan.scanned,
         matched=len(matched),
         modified=modified,
         entries_added=ops.entries_added,
         entries_removed=ops.entries_removed,
         refcount_adjusted=ops.adjusted,
         postings=dict(ops.postings),
-        semantics=None if decision is None else decision.semantics_explain(),
+        semantics=scan.semantics(),
     )
 
 

@@ -5,7 +5,8 @@ The compile-once / run-many subsystem behind every front-end:
 * :mod:`~repro.query.ir` -- the shared logical-plan IR the JSONPath,
   Mongo-find and JNL front-ends all lower into;
 * :class:`~repro.query.compiled.CompiledQuery` -- a reusable plan
-  holding the parsed AST, its logical plan and its path automata;
+  holding the parsed AST (or, for Mongo filters, the compiled value
+  tests and their JNL lowering) and its logical plan;
 * :func:`~repro.query.compiled.compile_query` /
   :func:`~repro.query.compiled.compile_mongo_find` -- cached compilers
   for the JNL, JSONPath and Mongo-find dialects;
@@ -49,12 +50,10 @@ from repro.query.compiled import (
     compile_query,
 )
 from repro.query.ir import LogicalPlan
-from repro.query.planner import PlanExplain
 
 __all__ = [
     "CompiledQuery",
     "LogicalPlan",
-    "PlanExplain",
     "DIALECTS",
     "compile_query",
     "compile_formula",

@@ -1,29 +1,32 @@
-"""Compiled query plans: parse and build automata once, evaluate many times.
+"""Compiled query plans: compile once, evaluate many times.
 
 The paper's per-evaluation bounds (Propositions 1 and 3) assume the
 formula is already in hand; a document store running the same query
-over millions of documents pays parsing and automaton construction only
-once.  A :class:`CompiledQuery` captures exactly the reusable,
-tree-independent part of a query:
+over millions of documents pays parsing and compilation only once.  A
+:class:`CompiledQuery` captures exactly the reusable, tree-independent
+part of a query:
 
 * the shared logical-plan IR (:mod:`repro.query.ir`) every front-end
-  lowers into -- carrying the parsed JNL AST (a unary *filter* or a
-  binary *selector* path) plus the sargable predicates the collection
-  planner prunes with;
-* the path automata of every ``[alpha]`` / ``EQ(alpha, .)`` subformula,
-  built eagerly by the same Thompson construction the evaluator uses
-  (:mod:`repro.jnl.paths`);
+  lowers into -- carrying a unary JNL *filter* or a binary *selector*
+  path plus the sargable predicates the collection planner prunes with;
+* for the JNL and JSONPath text dialects, the path automata of every
+  ``[alpha]`` / ``EQ(alpha, .)`` subformula, built eagerly by the same
+  Thompson construction the Proposition-1 evaluator uses
+  (:mod:`repro.jnl.paths`) -- these dialects are the paper's and are
+  evaluated on trees;
+* for MongoDB find filters, the compiled value tests of
+  :func:`repro.mongo.find.compile_conjuncts`, which alone decide a
+  match.  The plan's formula is the conjunction of the conjuncts' exact
+  JNL lowerings: a necessary condition, used only to prune through the
+  indexes and as the semantic prover's premise -- never evaluated;
 * for Mongo queries, the parsed projection.
 
 Evaluation state (node sets, subtree hashes) is per-tree and is *never*
 stored on the compiled object, so one plan can be shared freely across
 documents, threads and mutations.
 
-Three surface dialects compile to plans: JNL text (``jnl`` for unary
-formulas, ``jnl-path`` for paths), JSONPath (``jsonpath``) and MongoDB
-find filters (:func:`compile_mongo_find`).  The module-level entry
-points consult the process-wide LRU cache of :mod:`repro.cache` keyed
-on ``(dialect, canonical query text)``.
+The module-level entry points consult the process-wide LRU cache of
+:mod:`repro.cache` keyed on ``(dialect, canonical query text)``.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ from typing import TYPE_CHECKING, Any
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import ParseError
 from repro.jnl import ast as jnl
+from repro.jnl import builder as q
 from repro.query import ir
 from repro.jnl.efficient import JNLEvaluator
 from repro.jnl.paths import PathAutomaton, compile_path
 from repro.model.tree import JSONTree, JSONValue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (frontends)
+    from repro.mongo.find import Conjunct
     from repro.mongo.projection import Projection
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "compile_formula",
     "compile_path_query",
     "compile_mongo_find",
+    "conjuncts_of",
     "mongo_cache_key",
 ]
 
@@ -85,12 +91,29 @@ def _collect_paths(root: jnl.Unary | jnl.Binary) -> list[jnl.Binary]:
     return paths
 
 
+def conjuncts_of(formula: jnl.Unary) -> list[jnl.Unary]:
+    """Top-level conjuncts, left to right (the And tree flattened)."""
+    out: list[jnl.Unary] = []
+    stack: list[jnl.Unary] = [formula]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, jnl.And):
+            stack.append(current.right)
+            stack.append(current.left)
+        else:
+            out.append(current)
+    return out
+
+
 class CompiledQuery:
     """An executable query plan, reusable across documents.
 
     Exactly one of ``formula`` (a unary node filter) and ``path`` (a
     binary node selector) is set; ``projection`` optionally post-
     processes matched documents (Mongo find's second argument).
+    ``conjuncts`` is set for Mongo filters only: their compiled value
+    tests decide every match, and ``formula`` is then just the
+    conjunction of the exact lowerings.
     """
 
     __slots__ = (
@@ -101,6 +124,8 @@ class CompiledQuery:
         "_plan",
         "projection",
         "automata",
+        "conjuncts",
+        "_narrowed",
     )
 
     def __init__(
@@ -111,6 +136,7 @@ class CompiledQuery:
         formula: jnl.Unary | None = None,
         path: jnl.Binary | None = None,
         projection: "Projection | None" = None,
+        conjuncts: "tuple[Conjunct, ...] | None" = None,
     ) -> None:
         if (formula is None) == (path is None):
             raise ValueError("exactly one of formula/path must be given")
@@ -120,9 +146,14 @@ class CompiledQuery:
         self.path = path
         self._plan: ir.LogicalPlan | None = None
         self.projection = projection
+        self.conjuncts = conjuncts
+        self._narrowed: dict[tuple[int, ...], CompiledQuery] = {}
         # Eagerly build every path automaton the evaluator needs, so no
-        # per-evaluation call ever pays the Thompson construction.
+        # per-evaluation call ever pays the Thompson construction.  A
+        # Mongo plan is never evaluated on trees, so it builds none.
         self.automata: dict[jnl.Binary, PathAutomaton] = {}
+        if conjuncts is not None:
+            return
         for subpath in _collect_paths(formula if formula is not None else path):
             if subpath not in self.automata:
                 self.automata[subpath] = compile_path(subpath)
@@ -151,9 +182,35 @@ class CompiledQuery:
         """A fresh evaluator for ``tree`` sharing this plan's automata."""
         return JNLEvaluator(tree, automata=self.automata)
 
+    def narrow(self, positions: tuple[int, ...]) -> "CompiledQuery":
+        """The plan of only the top-level conjuncts at ``positions``
+        (what a residual semantic verdict leaves to verify), memoised.
+
+        Positions index ``conjuncts`` for a Mongo plan and
+        :func:`conjuncts_of` of the formula otherwise.
+        """
+        narrowed = self._narrowed.get(positions)
+        if narrowed is None:
+            if self.conjuncts is not None:
+                narrowed = _mongo_query(
+                    self.source,
+                    tuple(self.conjuncts[position] for position in positions),
+                )
+            else:
+                assert self.formula is not None
+                parts = conjuncts_of(self.formula)
+                narrowed = compile_formula(
+                    q.conj([parts[position] for position in positions])
+                )
+            self._narrowed[positions] = narrowed
+        return narrowed
+
     def _selected(
         self, tree: JSONTree, evaluator: JNLEvaluator | None
     ) -> frozenset[int]:
+        if self.conjuncts is not None:
+            # A Mongo filter matches whole documents: the root or nothing.
+            return frozenset((tree.root,)) if self.matches(tree) else frozenset()
         if evaluator is None:
             evaluator = self.evaluator(tree)
         if self.path is not None:
@@ -179,7 +236,7 @@ class CompiledQuery:
 
     def matches(
         self,
-        tree: JSONTree,
+        tree: "JSONTree | JSONValue",
         node: int | None = None,
         *,
         evaluator: JNLEvaluator | None = None,
@@ -188,8 +245,17 @@ class CompiledQuery:
 
         For filter plans this is the Evaluation problem; for selector
         plans it asks whether the path selects anything at all (``node``
-        then names the origin of the traversal).
+        then names the origin of the traversal).  A Mongo plan runs its
+        value tests on the materialised subtree, and also accepts the
+        plain value itself.
         """
+        conjuncts = self.conjuncts
+        if conjuncts is not None:
+            value = tree.to_value(node) if isinstance(tree, JSONTree) else tree
+            for test, _, _ in conjuncts:
+                if not test(value):
+                    return False
+            return True
         if evaluator is None:
             evaluator = self.evaluator(tree)
         if self.formula is not None:
@@ -249,17 +315,31 @@ def mongo_cache_key(
     )
 
 
+def _mongo_query(
+    source: str,
+    conjuncts: "tuple[Conjunct, ...]",
+    projection: "Projection | None" = None,
+) -> CompiledQuery:
+    lowered = [c.formula for c in conjuncts if c.formula is not None]
+    return CompiledQuery(
+        DIALECT_MONGO_FIND,
+        source,
+        formula=q.conj(lowered),
+        projection=projection,
+        conjuncts=conjuncts,
+    )
+
+
 def _compile_mongo(
     filter_doc: dict[str, Any], projection: dict[str, Any] | None
 ) -> CompiledQuery:
-    from repro.mongo.find import compile_filter
+    from repro.mongo.find import compile_conjuncts
     from repro.mongo.projection import Projection
 
-    return CompiledQuery(
-        DIALECT_MONGO_FIND,
+    return _mongo_query(
         mongo_cache_key(filter_doc, projection),
-        formula=compile_filter(filter_doc),
-        projection=Projection(projection) if projection else None,
+        compile_conjuncts(filter_doc),
+        Projection(projection) if projection else None,
     )
 
 
@@ -309,6 +389,9 @@ def compile_mongo_find(
 
     The cache key is the canonical (sorted-keys) JSON text of both
     arguments, so structurally equal filter documents share one plan.
+    Raises :class:`~repro.errors.ParseError` exactly when the filter is
+    invalid: a conjunct the JNL fragment cannot express still compiles,
+    it just contributes nothing to the plan's formula.
     """
     resolved = _resolve_cache(cache)
     if resolved is None:

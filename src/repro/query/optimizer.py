@@ -1,24 +1,29 @@
 """The schema-aware semantic optimizer: satisfiability-driven pruning.
 
 The pass sits between IR extraction and physical planning.  A filter
-query carries its evaluation payload (a unary JNL formula); a
-collection that enforces a schema -- or, schemaless, maintains an
-inferred structural summary (:mod:`repro.store.summary`) -- exposes a
-:class:`SemanticContext` whose ``formula`` is a JSL premise every live
-document satisfies (Theorem 1 for schemas).  Translating the payload
-into JSL (Theorem 2, :mod:`repro.translate.jnl_to_jsl`) turns planning
-questions into satisfiability questions for the bounded solver of
+query carries JNL conjuncts (a JNL text filter's own formula, split at
+its top-level ``And``s; a Mongo filter's exact lowerings, ``None`` where
+the fragment cannot express a conjunct); a collection that enforces a
+schema -- or, schemaless, maintains an inferred structural summary
+(:mod:`repro.store.summary`) -- exposes a :class:`SemanticContext` whose
+``formula`` is a JSL premise every live document satisfies (Theorem 1
+for schemas).  Translating the lowered conjuncts into JSL (Theorem 2,
+:mod:`repro.translate.jnl_to_jsl`) turns planning questions into
+satisfiability questions for the bounded solver of
 :mod:`repro.jsl.satisfiability`:
 
-* ``premise ^ payload`` unsatisfiable  ==>  verdict ``"empty"``: no
+* ``premise ^ lowered`` unsatisfiable  ==>  verdict ``"empty"``: no
   admissible document can match; answer ``[]``/``0`` without touching
-  an index or materialising a document;
-* ``premise ^ ~payload`` unsatisfiable  ==>  verdict ``"all"``: every
-  admissible document matches; skip index probing *and* per-document
-  verification;
-* otherwise, try each top-level conjunct of the payload: the entailed
-  ones are discharged and only the **residual** conjunction is
-  verified on index survivors (verdict ``"residual"``);
+  an index or materialising a document.  Sound with conjuncts missing,
+  since the lowered conjunction is implied by the whole filter;
+* ``premise ^ ~lowered`` unsatisfiable, every conjunct lowered  ==>
+  verdict ``"all"``: every admissible document matches; skip index
+  probing *and* per-document verification;
+* otherwise, try each lowered conjunct: the entailed ones are
+  discharged and only the **residual** -- the rest, unlowered ones
+  included, recorded as conjunct positions -- is verified on index
+  survivors (verdict ``"residual"``), by the query's own matcher
+  narrowed to those positions (:meth:`CompiledQuery.narrow`);
 * anything else -- including payloads outside Theorem 2's fragment,
   prover timeouts and plain unprovable queries -- is verdict
   ``"none"``: execution proceeds exactly as without this module.
@@ -34,9 +39,8 @@ as ``"none"`` with ``timed_out=True`` and execution falls through.
 Soundness note: verdicts are only ever produced for collections whose
 documents live in the non-``extended`` value universe (objects, arrays,
 strings, naturals) -- exactly the model class of the JSL solver -- and
-only when the **whole payload** (or a conjunct of it) is proven, never
-from the lossy sargable-predicate layer, whose predicates are necessary
-but not sufficient conditions.
+only from exact lowerings, never from the lossy sargable-predicate
+layer, whose predicates are necessary but not sufficient conditions.
 """
 
 from __future__ import annotations
@@ -49,10 +53,11 @@ from typing import Any
 from repro.cache import USE_DEFAULT_CACHE, resolve_cache
 from repro.errors import UnsupportedFragmentError
 from repro.jnl import ast as jnl
+from repro.jnl import builder as q
 from repro.jsl.entailment import conjoin, negate, unsat
 from repro.jsl.satisfiability import SolverConfig
 from repro.query import ir
-from repro.query.compiled import CompiledQuery, compile_formula
+from repro.query.compiled import CompiledQuery, conjuncts_of
 from repro.translate.jnl_to_jsl import jnl_to_jsl
 
 __all__ = [
@@ -88,9 +93,9 @@ def check_optimize_mode(mode: str) -> str:
 # ---------------------------------------------------------------------------
 # The verification-call counter (benchmark instrumentation).
 #
-# Incremented by the execution paths at every per-document verification
-# of a filter (compiled ``matches`` / value-space predicate) -- the work
-# an ``"all"``/``"residual"`` verdict exists to eliminate.
+# Incremented by the planner's candidate-and-verify loop at every
+# per-document verification of a filter -- the work an
+# ``"all"``/``"residual"`` verdict exists to eliminate.
 # ---------------------------------------------------------------------------
 
 VERIFY_CALLS = 0
@@ -174,7 +179,7 @@ class SemanticVerdict:
     source: str
     discharged: tuple[str, ...] = ()
     residual: str | None = None
-    residual_query: CompiledQuery | None = None
+    residual_positions: tuple[int, ...] = ()
     proof_ms: float = 0.0
     timed_out: bool = False
 
@@ -283,33 +288,24 @@ def describe_formula(formula: jnl.Unary | jnl.Binary) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _conjuncts(formula: jnl.Unary) -> list[jnl.Unary]:
-    """Top-level conjuncts, left to right (the And tree flattened)."""
-    out: list[jnl.Unary] = []
-    stack: list[jnl.Unary] = [formula]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, jnl.And):
-            stack.append(current.right)
-            stack.append(current.left)
-        else:
-            out.append(current)
-    return out
-
-
-def _conjoin_jnl(conjuncts: list[jnl.Unary]) -> jnl.Unary:
-    result = conjuncts[0]
-    for part in conjuncts[1:]:
-        result = jnl.And(result, part)
-    return result
+def _render_conjunction(texts: list[str]) -> str:
+    """``describe_formula`` of the left-folded ``And`` of the parts."""
+    rendered = texts[0]
+    for text in texts[1:]:
+        rendered = f"({rendered} ^ {text})"
+    return rendered
 
 
 def _prove(
     context: SemanticContext,
-    payload: jnl.Unary,
+    parts: list[tuple[jnl.Unary | None, str | None]],
     config: OptimizerConfig,
 ) -> SemanticVerdict:
-    """Run the obligation ladder for one payload against one premise."""
+    """Run the obligation ladder for one query against one premise.
+
+    ``parts`` are the query's top-level conjuncts as ``(exact JNL
+    lowering or None, rendering of an unlowered one)``.
+    """
     started = perf_counter()
     deadline = started + config.budget_ms / 1000.0
 
@@ -319,16 +315,27 @@ def _prove(
     def out_of_budget() -> bool:
         return perf_counter() >= deadline
 
+    def nothing(timed_out: bool = False) -> SemanticVerdict:
+        return SemanticVerdict(
+            kind="none",
+            source=context.source,
+            proof_ms=elapsed_ms(),
+            timed_out=timed_out,
+        )
+
+    lowered = [formula for formula, _ in parts if formula is not None]
+    exact = len(lowered) == len(parts)
+    if not lowered and not exact:
+        return nothing()
+    payload = q.conj(lowered)
     try:
         payload_jsl = jnl_to_jsl(payload)
     except UnsupportedFragmentError:
-        return SemanticVerdict(
-            kind="none", source=context.source, proof_ms=elapsed_ms()
-        )
+        return nothing()
     premise = context.formula
     timed_out = False
 
-    # (a) unsat => empty.
+    # (a) unsat => empty (the lowered conjunction is implied by the query).
     proved, complete = unsat(conjoin(premise, payload_jsl), config.solver)
     timed_out = timed_out or not complete
     if proved:
@@ -339,40 +346,38 @@ def _prove(
             proof_ms=elapsed_ms(),
         )
     if out_of_budget():
-        return SemanticVerdict(
-            kind="none",
-            source=context.source,
-            proof_ms=elapsed_ms(),
-            timed_out=True,
-        )
+        return nothing(timed_out=True)
 
-    # (b) implied => verify-free.
-    proved, complete = unsat(
-        conjoin(premise, negate(payload_jsl)), config.solver
-    )
-    timed_out = timed_out or not complete
-    if proved:
-        return SemanticVerdict(
-            kind="all",
-            source=context.source,
-            discharged=(describe_formula(payload),),
-            proof_ms=elapsed_ms(),
+    # (b) implied => verify-free, only if the lowering is the whole query.
+    if exact:
+        proved, complete = unsat(
+            conjoin(premise, negate(payload_jsl)), config.solver
         )
+        timed_out = timed_out or not complete
+        if proved:
+            return SemanticVerdict(
+                kind="all",
+                source=context.source,
+                discharged=(describe_formula(payload),),
+                proof_ms=elapsed_ms(),
+            )
 
     # (c) conjunct-wise: discharge the entailed parts, verify the rest.
-    conjuncts = _conjuncts(payload)
-    if len(conjuncts) > 1:
+    if len(parts) > 1:
         discharged: list[jnl.Unary] = []
-        residual: list[jnl.Unary] = []
-        for position, conjunct in enumerate(conjuncts):
+        residual: list[int] = []
+        for position, (conjunct, _) in enumerate(parts):
+            if conjunct is None:
+                residual.append(position)
+                continue
             if out_of_budget():
                 timed_out = True
-                residual.extend(conjuncts[position:])
+                residual.extend(range(position, len(parts)))
                 break
             try:
                 conjunct_jsl = jnl_to_jsl(conjunct)
             except UnsupportedFragmentError:
-                residual.append(conjunct)
+                residual.append(position)
                 continue
             proved, complete = unsat(
                 conjoin(premise, negate(conjunct_jsl)), config.solver
@@ -381,7 +386,7 @@ def _prove(
             if proved:
                 discharged.append(conjunct)
             else:
-                residual.append(conjunct)
+                residual.append(position)
         if discharged:
             names = tuple(describe_formula(part) for part in discharged)
             if not residual:
@@ -392,22 +397,20 @@ def _prove(
                     proof_ms=elapsed_ms(),
                     timed_out=timed_out,
                 )
-            residual_formula = _conjoin_jnl(residual)
+            texts = [
+                text if formula is None else describe_formula(formula)
+                for formula, text in (parts[position] for position in residual)
+            ]
             return SemanticVerdict(
                 kind="residual",
                 source=context.source,
                 discharged=names,
-                residual=describe_formula(residual_formula),
-                residual_query=compile_formula(residual_formula),
+                residual=_render_conjunction(texts),
+                residual_positions=tuple(residual),
                 proof_ms=elapsed_ms(),
                 timed_out=timed_out,
             )
-    return SemanticVerdict(
-        kind="none",
-        source=context.source,
-        proof_ms=elapsed_ms(),
-        timed_out=timed_out,
-    )
+    return nothing(timed_out)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +451,11 @@ def semantic_plan(
     def build() -> SemanticVerdict:
         nonlocal computed
         computed = True
-        return _prove(context, plan.formula, config)
+        if query.conjuncts is not None:
+            parts = [(part.formula, part.text) for part in query.conjuncts]
+        else:
+            parts = [(part, None) for part in conjuncts_of(plan.formula)]
+        return _prove(context, parts, config)
 
     if resolved is None:
         verdict = build()

@@ -1,20 +1,29 @@
-"""The collection query planner: prune via indexes, evaluate survivors.
+"""The collection query planner: prune via indexes, verify survivors.
 
 The execution model for a query over an indexed collection
 (:class:`repro.store.Collection`) has three stages:
 
 1. **Plan** -- the front-end's compiled query carries a
    :class:`~repro.query.ir.LogicalPlan` whose predicates are necessary
-   conditions for a match (sargable path/value/kind/key facts);
+   conditions for a match (sargable path/value/kind/key facts); for a
+   Mongo filter they come from the exact JNL lowerings of its
+   conjuncts;
 2. **Prune** -- :func:`candidate_ids` folds the predicate tree over
    the collection's secondary indexes: leaves look up postings,
    conjunctions intersect (smallest first), disjunctions union, and
    anything unindexable dissolves to "all documents";
-3. **Scan survivors** -- the PR-1 compiled per-tree evaluation
-   (``matches``/``select``/``apply``) runs on the candidates only, in
-   document-id order, so results are *identical* to a full scan -- the
-   indexes never decide a match, they only skip documents that provably
-   cannot match.
+3. **Verify** -- :class:`Scan`, the one candidate-and-verify loop,
+   materialises each candidate once, in document-id order, and asks
+   the query's own matcher: the compiled value tests for a Mongo
+   filter (on the value), the Proposition-1 evaluator for the JNL and
+   JSONPath text dialects (on the tree).  The value it verified is the
+   one it returns, so results are *identical* to a full scan -- the
+   indexes never decide a match, they only skip documents that
+   provably cannot match.
+
+Every Mongo entry point -- ``find``/``count``/``explain`` here, the
+leading ``$match`` of :mod:`repro.mongo.aggregate`, the target
+selection of :mod:`repro.mongo.update` -- runs through :class:`Scan`.
 
 Candidates are recomputed from the live indexes on every call (plans
 are tree-independent and cached process-wide; candidate sets never
@@ -29,27 +38,26 @@ exposing a ``semantic_context``; everything else (and every
 ``no_semantic=True`` call) takes the classic prune-and-verify path.
 
 The module is deliberately ignorant of :mod:`repro.store` internals:
-anything with ``indexes``/``documents()``/``version`` duck-types as a
+anything with ``indexes``/``documents()``/``get()`` duck-types as a
 collection, which keeps the import graph acyclic (store builds on the
 planner, not vice versa).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.explain import Explain, PlanExplain
+from repro.explain import Explain
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import ir, optimizer
 from repro.query.compiled import CompiledQuery
-from repro.query.optimizer import SemanticDecision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.store.collection import Collection
     from repro.store.indexes import DocumentIndexes
 
 __all__ = [
-    "PlanExplain",
+    "Scan",
     "candidate_ids",
     "match_ids",
     "match_flags",
@@ -154,50 +162,114 @@ def _fold_candidates(
     return None, True  # Unknown predicate: never prune on it.
 
 
-def _survivors(
-    collection: "Collection", predicate: ir.Pred
-) -> tuple[list[tuple[int, JSONTree]], int | None]:
-    """Live ``(doc_id, tree)`` pairs to scan, in document-id order."""
-    indexes = collection.indexes
-    candidates = None
-    if indexes is not None:
-        candidates = candidate_ids(predicate, indexes)
-    if candidates is None:
-        return list(collection.documents()), None
-    return (
-        [(doc_id, tree) for doc_id, tree in collection.documents()
-         if doc_id in candidates],
-        len(candidates),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Stage 3: evaluate the compiled payload on the survivors.
+# Stage 3: the one candidate-and-verify loop.
 # ---------------------------------------------------------------------------
 
 
-def _matching(
-    collection: "Collection",
-    query: CompiledQuery,
-    decision: SemanticDecision | None = None,
-) -> Iterable[tuple[int, JSONTree]]:
-    kind = optimizer.effective_kind(decision)
-    if kind == "empty":
-        return
-    if kind == "all":
-        # The premise entails the query: every live document matches.
-        yield from collection.documents()
-        return
-    if kind == "residual":
-        verify = decision.verdict.residual_query.matches
-    else:
-        verify = query.matches
-    survivors, _ = _survivors(collection, query.plan.match_predicate)
-    count = optimizer.count_verify
-    for doc_id, tree in survivors:
-        count()
-        if verify(tree):
-            yield doc_id, tree
+class Scan:
+    """One candidate-and-verify pass of a filter plan over a collection.
+
+    The semantic verdict comes first (``kind``): ``"empty"`` yields
+    nothing and ``"all"`` every live document, verify-free.  Otherwise
+    the plan's match predicate folds over the secondary indexes
+    (``candidates`` counts what survives, ``None`` for a full scan) and
+    each candidate is materialised once -- a plain value for a Mongo
+    plan, the tree for a JNL text plan -- verified, and on a match
+    yielded as that same object, as ``(doc_id, document)`` in id order.
+    ``scanned`` (documents read without a covering verdict) and
+    ``matched`` grow as the scan is consumed.
+
+    ``query=None`` keeps every document (a pipeline without a leading
+    ``$match``).  ``verdict`` replaces the local proof with an inherited
+    one (a shard taking its coordinator's ``"empty"``/``"all"``, or
+    ``"off"``).  ``peek`` reads pending update values without forcing
+    a rebuild; they must stay unmodified (update target selection).
+    """
+
+    __slots__ = ("collection", "query", "decision", "kind", "total",
+                 "candidates", "scanned", "matched", "_ids", "_peek")
+
+    def __init__(
+        self,
+        collection: "Collection",
+        query: CompiledQuery | None,
+        *,
+        no_semantic: bool = False,
+        verdict: str | None = None,
+        peek: bool = False,
+    ) -> None:
+        if verdict is None:
+            self.decision = optimizer.semantic_plan(
+                collection, query, no_semantic=no_semantic
+            )
+            self.kind = optimizer.effective_kind(self.decision)
+        else:
+            self.decision = None
+            self.kind = "none" if verdict == "off" else verdict
+        self.collection = collection
+        self.query = query
+        self.total = len(collection)
+        self.scanned = 0
+        self.matched = 0
+        self._peek = peek
+        self._ids: set[int] | None = None
+        indexes = collection.indexes
+        if (
+            query is not None
+            and indexes is not None
+            and self.kind not in ("empty", "all")
+        ):
+            self._ids = candidate_ids(query.plan.match_predicate, indexes)
+        self.candidates = None if self._ids is None else len(self._ids)
+
+    def __iter__(self) -> Iterator[tuple[int, Any]]:
+        if self.kind == "empty":
+            return
+        if self.kind == "all":
+            for pair in self._documents():
+                self.matched += 1
+                yield pair
+            return
+        verify = None
+        if self.query is not None:
+            query = self.query
+            if self.kind == "residual":
+                query = query.narrow(self.decision.verdict.residual_positions)
+            verify = query.matches
+        count = optimizer.count_verify
+        for doc_id, document in self._documents():
+            self.scanned += 1
+            if verify is not None:
+                count()
+                if not verify(document):
+                    continue
+            self.matched += 1
+            yield doc_id, document
+
+    def _documents(self) -> Iterator[tuple[int, Any]]:
+        collection, ids = self.collection, self._ids
+        if self._peek:
+            order = collection.doc_ids() if ids is None else sorted(ids)
+            return (
+                (doc_id, collection._peek_value(doc_id)) for doc_id in order
+            )
+        if ids is None:
+            pairs = collection.documents()
+        else:
+            pairs = ((doc_id, collection.get(doc_id)) for doc_id in sorted(ids))
+        if self.query is not None and self.query.conjuncts is None:
+            return pairs  # a JNL text plan verifies the tree
+        return ((doc_id, tree.to_value()) for doc_id, tree in pairs)
+
+    def semantics(self):
+        """The explain section of the semantic decision, if any."""
+        return None if self.decision is None else self.decision.semantics_explain()
+
+
+def _row(query: CompiledQuery, document: Any) -> JSONValue:
+    value = document.to_value() if isinstance(document, JSONTree) else document
+    return query.projection.apply_value(value) if query.projection else value
 
 
 def match_ids(
@@ -208,10 +280,7 @@ def match_ids(
 ) -> list[int]:
     """Ids of the documents the query matches (root match / non-empty
     selection), in document-id order."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
-    return [doc_id for doc_id, _ in _matching(collection, query, decision)]
+    return [doc_id for doc_id, _ in Scan(collection, query, no_semantic=no_semantic)]
 
 
 def match_flags(
@@ -235,15 +304,10 @@ def count_matches(
     *,
     no_semantic: bool = False,
 ) -> int:
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
-    kind = optimizer.effective_kind(decision)
-    if kind == "empty":
-        return 0
-    if kind == "all":
-        return len(collection)
-    return sum(1 for _ in _matching(collection, query, decision))
+    scan = Scan(collection, query, no_semantic=no_semantic)
+    if scan.kind == "all":
+        return scan.total
+    return sum(1 for _ in scan)
 
 
 def find_documents(
@@ -253,15 +317,10 @@ def find_documents(
     no_semantic: bool = False,
 ) -> list[JSONValue]:
     """Mongo ``find`` over a collection: (projected) matching documents."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
-    results: list[JSONValue] = []
-    projection = query.projection
-    for _, tree in _matching(collection, query, decision):
-        value = tree.to_value()
-        results.append(projection.apply_value(value) if projection else value)
-    return results
+    return [
+        _row(query, document)
+        for _, document in Scan(collection, query, no_semantic=no_semantic)
+    ]
 
 
 def find_rows(
@@ -277,17 +336,10 @@ def find_rows(
     rows by the globally unique doc-id, which reproduces the single
     collection's document-id answer order exactly.
     """
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
-    rows: list[tuple[int, JSONValue]] = []
-    projection = query.projection
-    for doc_id, tree in _matching(collection, query, decision):
-        value = tree.to_value()
-        rows.append(
-            (doc_id, projection.apply_value(value) if projection else value)
-        )
-    return rows
+    return [
+        (doc_id, _row(query, document))
+        for doc_id, document in Scan(collection, query, no_semantic=no_semantic)
+    ]
 
 
 def find_trees(
@@ -297,10 +349,10 @@ def find_trees(
     no_semantic: bool = False,
 ) -> list[JSONTree]:
     """The matching documents as trees (no projection applied)."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
-    return [tree for _, tree in _matching(collection, query, decision)]
+    return [
+        collection.get(doc_id)
+        for doc_id, _ in Scan(collection, query, no_semantic=no_semantic)
+    ]
 
 
 def select_nodes(
@@ -318,13 +370,17 @@ def select_nodes(
         if query.plan.mode == ir.MODE_FILTER
         else query.plan.match_predicate
     )
-    survivors, _ = _survivors(collection, predicate)
-    surviving = {doc_id for doc_id, _ in survivors}
-    rows: list[tuple[int, list[int]]] = []
-    for doc_id, tree in collection.documents():
-        nodes = query.select(tree) if doc_id in surviving else []
-        rows.append((doc_id, nodes))
-    return rows
+    indexes = collection.indexes
+    candidates = None if indexes is None else candidate_ids(predicate, indexes)
+    return [
+        (
+            doc_id,
+            query.select(tree)
+            if candidates is None or doc_id in candidates
+            else [],
+        )
+        for doc_id, tree in collection.documents()
+    ]
 
 
 def select_values(
@@ -348,54 +404,15 @@ def explain(
     no_semantic: bool = False,
 ) -> Explain:
     """Run the match pipeline, reporting pruning effectiveness."""
-    decision = optimizer.semantic_plan(
-        collection, query, no_semantic=no_semantic
-    )
-    semantics = None if decision is None else decision.semantics_explain()
-    total = len(collection)
-    kind = optimizer.effective_kind(decision)
-    if kind == "empty":
-        return Explain(
-            kind="find",
-            dialect=query.dialect,
-            source=query.source,
-            total=total,
-            candidates=None,
-            scanned=0,
-            matched=0,
-            semantics=semantics,
-        )
-    if kind == "all":
-        return Explain(
-            kind="find",
-            dialect=query.dialect,
-            source=query.source,
-            total=total,
-            candidates=None,
-            scanned=0,
-            matched=total,
-            semantics=semantics,
-        )
-    if kind == "residual":
-        verify = decision.verdict.residual_query.matches
-    else:
-        verify = query.matches
-    survivors, candidates = _survivors(
-        collection, query.plan.match_predicate
-    )
-    count = optimizer.count_verify
-    matched = 0
-    for _, tree in survivors:
-        count()
-        if verify(tree):
-            matched += 1
+    scan = Scan(collection, query, no_semantic=no_semantic)
+    matched = scan.total if scan.kind == "all" else sum(1 for _ in scan)
     return Explain(
         kind="find",
         dialect=query.dialect,
         source=query.source,
-        total=total,
-        candidates=candidates,
-        scanned=len(survivors),
+        total=scan.total,
+        candidates=scan.candidates,
+        scanned=scan.scanned,
         matched=matched,
-        semantics=semantics,
+        semantics=scan.semantics(),
     )

@@ -777,12 +777,11 @@ class ShardedCollection:
     def _read_decision(
         self, filter_doc: dict[str, Any], no_semantic: bool
     ) -> "optimizer.SemanticDecision | None":
-        """The coordinator's one-proof verdict for a scatter read."""
-        try:
-            query = compile_mongo_find(filter_doc)
-        except Exception:
-            return None
-        return optimizer.semantic_plan(self, query, no_semantic=no_semantic)
+        """The coordinator's one-proof verdict for a scatter read (an
+        invalid filter raises here, before any shard is asked)."""
+        return optimizer.semantic_plan(
+            self, compile_mongo_find(filter_doc), no_semantic=no_semantic
+        )
 
     def find_rows(
         self,

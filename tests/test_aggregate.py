@@ -15,13 +15,17 @@ from repro.mongo.aggregate import (
     CompiledPipeline,
     aggregate,
     compile_pipeline,
-    compile_value_filter,
     match_value,
     naive_aggregate,
     parse_pipeline,
     pipeline_cache_key,
 )
-from repro.query import aggregate_many, compile_mongo_find, planner
+from repro.query import (
+    aggregate_many,
+    compile_formula,
+    compile_mongo_find,
+    planner,
+)
 from repro.query.stages import MISSING, resolve_path, sort_key, values_equal
 from repro.store import Collection
 from repro.workloads import people_collection
@@ -423,9 +427,9 @@ class TestIndexPruning:
 
 
 class TestFindDialectFallback:
-    """Filters valid in value space but outside the find compiler's
-    dialect (float comparison bounds, $regex beyond the KeyLang subset)
-    run in any position -- a leading one just scans instead of pruning.
+    """Filters with no exact JNL lowering (float comparison bounds,
+    $regex beyond the KeyLang subset) run in any position -- a leading
+    one just scans instead of pruning.
     """
 
     DOCS = [{"x": 1}, {"x": 1.4}, {"x": 1.6}, {"x": 2}, {"x": "s"}]
@@ -456,8 +460,8 @@ class TestFindDialectFallback:
     def test_leading_float_bound_streams_instead_of_pruning(self, people):
         pipeline = [{"$match": {"age": {"$gt": 39.5}}}]
         compiled = compile_pipeline(pipeline, cache=None)
-        assert compiled.lead_pred is not None
-        assert compiled.lead_query is None  # no logical plan to prune with
+        # No exact lowering, so no logical plan to prune with.
+        assert [c.formula for c in compiled.lead_query.conjuncts] == [None]
         report = compiled.explain(people)
         assert not report.used_indexes
         assert report.stages[0].mode == "streamed"
@@ -470,7 +474,7 @@ class TestFindDialectFallback:
     def test_leading_regex_outside_keylang_subset_streams(self, people):
         pipeline = [{"$match": {"name.first": {"$regex": "(?i)^sue$"}}}]
         compiled = compile_pipeline(pipeline, cache=None)
-        assert compiled.lead_query is None
+        assert [c.formula for c in compiled.lead_query.conjuncts] == [None]
         rows = compiled.execute(people)
         assert rows == [
             doc for doc in PEOPLE if doc["name"]["first"].lower() == "sue"
@@ -581,7 +585,8 @@ class TestInputFlavours:
 
 
 # ---------------------------------------------------------------------------
-# match_value vs the compiled find filter (the two $match engines).
+# The compiled filter kernel vs the reference interpreter, and each exact
+# JNL lowering vs the value test it stands for.
 # ---------------------------------------------------------------------------
 
 FILTERS = [
@@ -607,6 +612,9 @@ FILTERS = [
     {"$or": [{"age": {"$lt": 25}}, {"age": {"$gt": 80}}]},
     {"$and": [{"age": {"$gt": 25}}, {"age": {"$lt": 80}}]},
     {"$nor": [{"name.first": "Sue"}, {"name.first": "Bob"}]},
+    {"name.first": {"$regex": "^A|b$"}},  # (^A)|(b$), not ^(A|b)$
+    {"name.first": {"$regex": "(?i)^s"}},  # no KeyLang form: unlowered
+    {"age": {"$gt": 40.5}},  # float bound: unlowered
 ]
 
 
@@ -614,13 +622,53 @@ class TestMatchValueDifferential:
     @pytest.mark.parametrize("filter_doc", FILTERS)
     def test_value_space_agrees_with_compiled_jnl(self, filter_doc):
         query = compile_mongo_find(filter_doc)
-        closure = compile_value_filter(filter_doc)
+        lowered = [
+            (conjunct.test, compile_formula(conjunct.formula))
+            for conjunct in query.conjuncts
+            if conjunct.formula is not None
+        ]
         for doc in PEOPLE[:120]:
             tree = JSONTree.from_value(doc)
-            compiled = query.matches(tree)
             interpreted = match_value(filter_doc, doc)
-            assert compiled == interpreted, (filter_doc, doc)
-            assert closure(doc) == interpreted, (filter_doc, doc)
+            assert query.matches(doc) == interpreted, (filter_doc, doc)
+            assert query.matches(tree) == interpreted, (filter_doc, doc)
+            for test, formula in lowered:
+                assert formula.matches(tree) == test(doc), (filter_doc, doc)
+
+    def test_only_exact_lowerings_are_emitted(self):
+        def formulas(filter_doc):
+            return [c.formula for c in compile_mongo_find(filter_doc).conjuncts]
+
+        assert formulas({"s": {"$regex": "^a|b$"}})[0] is not None
+        assert formulas({"s": {"$regex": "(?i)a"}}) == [None]
+        assert formulas({"s": {"$regex": "\\d"}}) == [None]
+        assert formulas({"x": {"$gt": 1.5}}) == [None]
+        assert formulas({"x": {"$in": [1, 2.5]}}) == [None]
+        assert formulas({"x": True}) == [None]
+        mixed = formulas({"x": {"$gt": 1.5}, "y": 2})
+        assert mixed[0] is None and mixed[1] is not None
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["^a|b$", "^a", "b$", "a|b", "a.b", "(a|b)c$", "x|^y|z$", "a\\$", "[^a]b"],
+    )
+    def test_regex_lowering_follows_re_search(self, pattern):
+        import re
+
+        (conjunct,) = compile_mongo_find({"s": {"$regex": pattern}}).conjuncts
+        assert conjunct.formula is not None, pattern
+        formula = compile_formula(conjunct.formula)
+        rng = random.Random(pattern)
+        words = ["", "a", "b", "ab", "ba", "a\n", "b\n", "xb\n\n", "a\nb"]
+        words += [
+            "".join(rng.choice("abcxyz.$\n") for _ in range(rng.randint(0, 5)))
+            for _ in range(200)
+        ]
+        for word in words:
+            tree = JSONTree.from_value({"s": word})
+            expected = re.search(pattern, word) is not None
+            assert conjunct.test({"s": word}) == expected, (pattern, word)
+            assert formula.matches(tree) == expected, (pattern, word)
 
     @pytest.mark.parametrize("filter_doc", FILTERS)
     def test_pruning_is_sound_for_every_filter(self, filter_doc, people):

@@ -423,7 +423,6 @@ class TestDeprecationShim:
         ]
 
     def test_old_spellings_warn_but_work(self, tmp_path):
-        from repro.mongo import memory_collection as mongo_memory
         from repro.store import (
             memory_collection,
             open_database,
@@ -432,9 +431,6 @@ class TestDeprecationShim:
 
         with pytest.warns(DeprecationWarning, match="repro.api.collection"):
             assert len(memory_collection([{"a": 1}])) == 1
-        with pytest.warns(DeprecationWarning, match="repro.api.collection"):
-            people = mongo_memory([{"name": "Sue"}])
-        assert people.find({"name": "Sue"})
         with pytest.warns(DeprecationWarning, match="repro.api.connect"):
             with open_database(tmp_path) as db:
                 db.collection(documents=[{"a": 1}])

@@ -4,8 +4,7 @@ Covers the verdict ladder (unsat => empty, implied => all, partial =>
 residual, unknown => none), the widen-only structural summary for
 schemaless collections, process-wide verdict caching keyed by schema
 fingerprint, the ``optimize=`` modes and the ``hint={"no_semantic":
-True}`` escape hatch, the versioned Explain ``semantics`` section, and
-the deprecated explain shims.
+True}`` escape hatch, and the versioned Explain ``semantics`` section.
 
 ``TestRandomisedDifferential`` pins the optimizer's first law -- it is
 invisible in results -- by racing ``optimize="on"`` against ``"off"``
@@ -27,13 +26,7 @@ import threading
 import pytest
 
 from repro import api
-from repro.explain import (
-    AggregateExplain,
-    Explain,
-    PlanExplain,
-    SemanticsExplain,
-    UpdateExplain,
-)
+from repro.explain import Explain, SemanticsExplain
 from repro.errors import StoreError
 from repro.query import compile_mongo_find, optimizer, planner
 
@@ -123,6 +116,37 @@ class TestVerdicts:
         assert report.semantics is not None
         assert report.semantics.verdict == "all"
         assert report.scanned == 0 and report.matched == len(people)
+
+
+class TestUnloweredConjuncts:
+    """The prover sees only conjuncts with an exact JNL lowering."""
+
+    @pytest.fixture()
+    def people(self):
+        return api.collection(age_docs(), schema=AGE_SCHEMA)
+
+    def test_implied_but_unlowered_filter_is_not_all(self, people):
+        # Every age is > -0.5, but a float bound has no lowering.
+        decision = decision_for(people, {"age": {"$gt": -0.5}})
+        assert decision.verdict.kind == "none"
+        assert people.count({"age": {"$gt": -0.5}}) == len(people)
+
+    def test_unlowered_conjunct_stays_residual(self, people):
+        filter_doc = {"age": {"$gte": 0}, "name": {"$regex": "(?i)P1"}}
+        decision = decision_for(people, filter_doc)
+        assert decision.verdict.kind == "residual"
+        assert decision.verdict.residual == '{"name":{"$regex":"(?i)P1"}}'
+        (position,) = decision.verdict.residual_positions
+        query = compile_mongo_find(filter_doc)
+        assert query.conjuncts[position].formula is None
+        expected = [doc for doc in age_docs() if doc["name"].startswith("p1")]
+        assert people.find(filter_doc) == expected
+        assert people.count(filter_doc) == len(expected)
+
+    def test_lowered_conjunct_still_proves_empty(self, people):
+        filter_doc = {"age": {"$gt": 500}, "name": {"$regex": "(?i)p"}}
+        assert decision_for(people, filter_doc).verdict.kind == "empty"
+        assert people.find(filter_doc) == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,54 +372,6 @@ class TestExplainSemantics:
         assert optimizer.verify_calls() == 0
         people.find({"age": {"$gte": 0}}, hint={"no_semantic": True})
         assert optimizer.verify_calls() == len(people)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims.
-# ---------------------------------------------------------------------------
-
-
-class TestExplainShims:
-    def test_old_constructors_warn(self):
-        with pytest.warns(DeprecationWarning):
-            PlanExplain("mongo-find", "{}", 4, None, 4, 2)
-        with pytest.warns(DeprecationWarning):
-            AggregateExplain("mongo-find", "{}", 4, None, 4, 2, 1, ())
-        with pytest.warns(DeprecationWarning):
-            UpdateExplain("{}", "{}", 4, None, 4, 2, 2, 0, 0, 0, {})
-
-    def test_shim_field_parity(self):
-        with pytest.warns(DeprecationWarning):
-            shim = PlanExplain("mongo-find", "{}", 4, 2, 2, 1)
-        base = Explain(
-            kind="find",
-            dialect="mongo-find",
-            source="{}",
-            total=4,
-            candidates=2,
-            scanned=2,
-            matched=1,
-        )
-        assert isinstance(shim, Explain)
-        assert shim.to_json() == base.to_json()
-        assert shim.pruned == base.pruned
-
-    def test_shim_round_trips_through_the_wire_format(self):
-        with pytest.warns(DeprecationWarning):
-            shim = UpdateExplain("{}", "$inc", 4, 1, 1, 1, 1, 2, 2, 0, {"eq": 2})
-        rehydrated = Explain.from_json(shim.to_json())
-        assert rehydrated.to_json() == shim.to_json()
-        assert rehydrated.kind == "update"
-        assert shim.filter_source == shim.source
-
-    def test_legacy_import_paths_resolve_to_the_shims(self):
-        from repro.mongo import AggregateExplain as FromMongo
-        from repro.mongo import UpdateExplain as UpdateFromMongo
-        from repro.query import PlanExplain as FromQuery
-
-        assert FromQuery is PlanExplain
-        assert FromMongo is AggregateExplain
-        assert UpdateFromMongo is UpdateExplain
 
 
 # ---------------------------------------------------------------------------
