@@ -88,8 +88,6 @@ __all__ = [
     "Collection",
     "Database",
     "connect",
-    "open_database",
-    "memory_collection",
     "CompiledValidator",
     "compile_schema_validator",
     "compile_jsl_validator",
@@ -128,10 +126,10 @@ def __getattr__(name: str):  # pragma: no cover - thin convenience shim
         from repro.api import connect
 
         return connect
-    if name in ("Database", "open_database", "memory_collection"):
-        import repro.store as _store
+    if name == "Database":
+        from repro.store import Database
 
-        return getattr(_store, name)
+        return Database
     if name in (
         "CompiledValidator",
         "compile_schema_validator",

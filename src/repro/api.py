@@ -1,10 +1,7 @@
 """The one front door: every backend behind ``connect`` and ``collection``.
 
-Before this module the repo had grown one entry point per subsystem --
-``repro.store.memory_collection``,
-``open_database`` for durable stores, ``sharded_collection`` for the
-partitioned ones, ``repro.client.connect`` for a server.  This module
-is the redesigned surface: **two constructors** that cover all of them,
+This module is the package's surface: **two constructors** that
+cover the volatile, durable, partitioned and remote backends,
 returning objects that share one uniform collection protocol
 (``find``/``count``/``aggregate``/``select``/``get``/``explain``/
 ``validate``/``insert_many``/``update_*``/``replace_one``/``remove``/
@@ -24,10 +21,6 @@ configuration::
 
     scratch = repro.collection([{"n": 1}])     # one-off volatile collection
     big = repro.collection(docs, shards=4)     # volatile and partitioned
-
-The old spellings keep working behind :class:`DeprecationWarning` shims
-(see ``memory_collection``/``open_database``/``sharded_collection``);
-new code -- and everything in this repo -- uses this module.
 """
 
 from __future__ import annotations
@@ -126,8 +119,7 @@ def collection(
 ) -> "Collection | ShardedCollection":
     """A one-off volatile collection (tests, benchmarks, scripts).
 
-    The blessed spelling of what ``memory_collection`` (and, with
-    ``shards=N``, ``sharded_collection``) used to be.  Anything that
+    ``shards=N`` partitions it across N shards.  Anything that
     should survive a restart belongs behind :func:`connect` with a
     path.  ``optimize`` sets the semantic-optimizer mode; per query,
     ``hint={"no_semantic": True}`` opts a single read out.

@@ -658,21 +658,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
                     )
                 )
             run = corpus.update_one if args.one else corpus.update_many
-            result = run(filter_doc, update_doc, upsert=args.upsert)
-        upserted = (
-            ""
-            if result["upserted_id"] is None
-            else f" upserted_id={result['upserted_id']}"
-        )
-        print(
-            f"matched={result['matched']} "
-            f"modified={result['modified']}{upserted}"
-        )
-        return (
-            0
-            if result["matched"] or result["upserted_id"] is not None
-            else 1
-        )
+            return _print_update(run(filter_doc, update_doc, upsert=args.upsert))
 
     with ExitStack() as stack:
         if args.collection is not None or args.db is not None:
@@ -697,20 +683,27 @@ def _cmd_update(args: argparse.Namespace) -> int:
             )
 
         run = update_one if args.one else update_many
-        result = run(corpus, filter_doc, update_doc, upsert=args.upsert)
-        upserted = (
-            ""
-            if result.upserted_id is None
-            else f" upserted_id={result.upserted_id}"
-        )
-        print(
-            f"matched={result.matched_count} "
-            f"modified={result.modified_count}{upserted}"
+        code = _print_update(
+            run(corpus, filter_doc, update_doc, upsert=args.upsert)
         )
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 for _, tree in corpus.documents():
                     handle.write(tree.to_json() + "\n")
+    return code
+
+
+def _print_update(result) -> int:
+    """Print an ``UpdateResult``; exit 0 when it matched or upserted."""
+    upserted = (
+        ""
+        if result.upserted_id is None
+        else f" upserted_id={result.upserted_id}"
+    )
+    print(
+        f"matched={result.matched_count} "
+        f"modified={result.modified_count}{upserted}"
+    )
     return 0 if result.matched_count or result.upserted_id is not None else 1
 
 
@@ -724,21 +717,12 @@ def _update_sharded(
             corpus.explain_update(filter_doc, update_doc, first_only=args.one)
         )
     run = corpus.update_one if args.one else corpus.update_many
-    result = run(filter_doc, update_doc, upsert=args.upsert)
-    upserted = (
-        ""
-        if result.upserted_id is None
-        else f" upserted_id={result.upserted_id}"
-    )
-    print(
-        f"matched={result.matched_count} "
-        f"modified={result.modified_count}{upserted}"
-    )
+    code = _print_update(run(filter_doc, update_doc, upsert=args.upsert))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             for _, value in corpus.values():
                 handle.write(json.dumps(value) + "\n")
-    return 0 if result.matched_count or result.upserted_id is not None else 1
+    return code
 
 
 def _print_integrity(report) -> None:

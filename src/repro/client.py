@@ -30,6 +30,7 @@ from typing import Any
 
 from repro.errors import StoreError, WireProtocolError, from_wire
 from repro.explain import Explain
+from repro.mongo.update import UpdateResult
 from repro.server import protocol
 
 __all__ = [
@@ -84,6 +85,13 @@ def _merge_hint(
         merged["no_semantic"] = True
         return merged
     return hint
+
+
+def _update_result(reply: dict[str, Any]) -> UpdateResult:
+    """An update reply's wire document as the local ``UpdateResult``."""
+    return UpdateResult(
+        reply["matched"], reply["modified"], reply["upserted_id"]
+    )
 
 
 def _check_greeting(greeting: dict[str, Any]) -> None:
@@ -329,13 +337,15 @@ class RemoteCollection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return self._request(
-            "update",
-            filter=filter_doc,
-            update=update_doc,
-            one=True,
-            upsert=upsert,
+    ) -> UpdateResult:
+        return _update_result(
+            self._request(
+                "update",
+                filter=filter_doc,
+                update=update_doc,
+                one=True,
+                upsert=upsert,
+            )
         )
 
     def update_many(
@@ -344,9 +354,11 @@ class RemoteCollection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return self._request(
-            "update", filter=filter_doc, update=update_doc, upsert=upsert
+    ) -> UpdateResult:
+        return _update_result(
+            self._request(
+                "update", filter=filter_doc, update=update_doc, upsert=upsert
+            )
         )
 
     def replace_one(
@@ -355,12 +367,14 @@ class RemoteCollection:
         replacement: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return self._request(
-            "replace",
-            filter=filter_doc,
-            replacement=replacement,
-            upsert=upsert,
+    ) -> UpdateResult:
+        return _update_result(
+            self._request(
+                "replace",
+                filter=filter_doc,
+                replacement=replacement,
+                upsert=upsert,
+            )
         )
 
     def remove(self, doc_id: int) -> Any:
@@ -583,13 +597,15 @@ class AsyncRemoteCollection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return await self._request(
-            "update",
-            filter=filter_doc,
-            update=update_doc,
-            one=True,
-            upsert=upsert,
+    ) -> UpdateResult:
+        return _update_result(
+            await self._request(
+                "update",
+                filter=filter_doc,
+                update=update_doc,
+                one=True,
+                upsert=upsert,
+            )
         )
 
     async def update_many(
@@ -598,9 +614,11 @@ class AsyncRemoteCollection:
         update_doc: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return await self._request(
-            "update", filter=filter_doc, update=update_doc, upsert=upsert
+    ) -> UpdateResult:
+        return _update_result(
+            await self._request(
+                "update", filter=filter_doc, update=update_doc, upsert=upsert
+            )
         )
 
     async def replace_one(
@@ -609,12 +627,14 @@ class AsyncRemoteCollection:
         replacement: dict[str, Any],
         *,
         upsert: bool = False,
-    ) -> dict[str, Any]:
-        return await self._request(
-            "replace",
-            filter=filter_doc,
-            replacement=replacement,
-            upsert=upsert,
+    ) -> UpdateResult:
+        return _update_result(
+            await self._request(
+                "replace",
+                filter=filter_doc,
+                replacement=replacement,
+                upsert=upsert,
+            )
         )
 
     async def remove(self, doc_id: int) -> Any:

@@ -19,19 +19,9 @@ The compile-once / run-many subsystem behind every front-end:
   leading ``$match`` runs prune through the planner like any find.
 
 The compile cache lives in :mod:`repro.cache` (the process-wide
-artifact cache); the ``query_cache*`` names below are kept as aliases
-(their old home, :mod:`repro.query.cache`, is deprecated).
+artifact cache).
 """
 
-from repro.cache import (
-    DEFAULT_CAPACITY,
-    CacheStats,
-    LRUCache,
-    artifact_cache as query_cache,
-    artifact_cache_stats as query_cache_stats,
-    clear_artifact_cache as clear_query_cache,
-    configure_artifact_cache as configure_query_cache,
-)
 from repro.query.batch import (
     aggregate_many,
     evaluate_many,
@@ -66,11 +56,4 @@ __all__ = [
     "aggregate_many",
     "select_queries",
     "evaluate_queries",
-    "LRUCache",
-    "CacheStats",
-    "DEFAULT_CAPACITY",
-    "query_cache",
-    "query_cache_stats",
-    "clear_query_cache",
-    "configure_query_cache",
 ]

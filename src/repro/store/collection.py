@@ -8,8 +8,8 @@ enforces a schema through the PR-2 compiled-validation pipeline
 (reject-on-insert), and answers queries from any front-end through the
 planner of :mod:`repro.query.planner`:
 
->>> from repro.store import memory_collection
->>> people = memory_collection([
+>>> from repro import api
+>>> people = api.collection([
 ...     {"name": "Sue", "age": 35},
 ...     {"name": "Bob", "age": 28},
 ... ])
@@ -29,7 +29,6 @@ answers.
 from __future__ import annotations
 
 import json as _json
-import warnings
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import DocumentRejectedError, StoreError
@@ -50,18 +49,13 @@ from repro.store.engine import (
     StorageEngine,
     decode_snapshot,
 )
-from repro.store.indexes import (
-    DeltaOps,
-    DocumentIndexes,
-    IndexStats,
-    encode_entry_counts,
-)
+from repro.store.indexes import DeltaOps, DocumentIndexes, IndexStats
 from repro.store.summary import StructuralSummary
 from repro.store.update import CompiledUpdate, mutation_delta
 from repro.validate.bulk import validate_corpus
 from repro.validate.compiled import CompiledValidator, compile_schema_validator
 
-__all__ = ["Collection", "memory_collection"]
+__all__ = ["Collection"]
 
 
 def _compile_schema(schema: Any):
@@ -100,11 +94,10 @@ class Collection:
     but skips index maintenance -- every query falls back to the
     compiled full scan.
 
-    Commits route through a :class:`~repro.store.engine.StorageEngine`
-    (memory vs. durable WAL + snapshots); acquire collections through
-    :class:`repro.store.Database` / :func:`repro.store.memory_collection`
-    or pass ``engine=`` explicitly -- engine-less construction is a
-    deprecated shim.
+    Commits route through the ``engine``, a
+    :class:`~repro.store.engine.StorageEngine` (memory vs. durable WAL
+    + snapshots); :func:`repro.api.collection` and
+    :func:`repro.api.connect` choose one for the caller.
     """
 
     __slots__ = ("_trees", "_alive", "_interned", "_indexes", "_validator",
@@ -121,24 +114,10 @@ class Collection:
         extended: bool = False,
         indexed: bool = True,
         optimize: str = "on",
-        engine: StorageEngine | None = None,
+        engine: StorageEngine,
     ) -> None:
         if schema is not None and validator is not None:
             raise StoreError("pass either schema or validator, not both")
-        if engine is None:
-            # The pre-engine construction path: kept working through an
-            # implicit MemoryEngine shim, but deprecated -- acquire
-            # collections through repro.open_database()/Database,
-            # repro.store.memory_collection(), or pass an engine.
-            warnings.warn(
-                "constructing a Collection without a storage engine is "
-                "deprecated; use repro.open_database()/Database."
-                "collection(), repro.store.memory_collection(), or pass "
-                "engine=MemoryEngine()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = MemoryEngine()
         self._trees: list[JSONTree | None] = []
         self._alive = 0
         self._interned: dict[str, str] = {}
@@ -802,31 +781,23 @@ class Collection:
     def snapshot(self) -> dict:
         """The collection as a versioned, JSON-able snapshot payload.
 
-        Serialises every live document (pending updates flushed) *and*
-        the counted index-entry refcounts, preserving document ids and
-        tombstones -- the durable engine's checkpoint format, and the
-        natural wire form of the paper's interned-tree model.  The
-        payload carries ``format`` and ``version`` fields;
+        Serialises every live document (pending updates flushed),
+        preserving document ids and tombstones -- the durable engine's
+        checkpoint format.  Snapshots hold documents only: index
+        postings are a function of each tree, so every restore rebuilds
+        them.  The payload carries ``format`` and ``version`` fields;
         :meth:`from_snapshot` (and the durable loader) refuse payloads
         they do not understand instead of misreading them.
         """
-        docs = [[doc_id, tree.to_value()] for doc_id, tree in self.documents()]
-        entries = None
-        if self._indexes is not None:
-            entries = {
-                str(doc_id): encode_entry_counts(
-                    self._indexes.entry_counts(doc_id)
-                )
-                for doc_id, _ in docs
-            }
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "extended": self._extended,
             "next_id": len(self._trees),
             "ops": self._version,
-            "docs": docs,
-            "index_entries": entries,
+            "docs": [
+                [doc_id, tree.to_value()] for doc_id, tree in self.documents()
+            ],
         }
 
     @classmethod
@@ -843,43 +814,26 @@ class Collection:
         Validates the payload's format tag and version first (raising
         :class:`~repro.errors.StorageFormatError` on anything this
         build does not read), then materialises documents through a
-        fresh intern table and loads index postings straight from the
-        persisted refcounts.  ``engine`` must be fresh (defaults to a
-        new :class:`~repro.store.engine.MemoryEngine`).
+        fresh intern table and rebuilds the index postings from the
+        trees.  ``engine`` must be fresh (defaults to a new
+        :class:`~repro.store.engine.MemoryEngine`).
         """
         snapshot = decode_snapshot(data)
-        entries = {}
-        if snapshot.encoded_entries is not None:
-            from repro.store.indexes import decode_entry_counts
-
-            entries = {
-                doc_id: decode_entry_counts(encoded)
-                for doc_id, encoded in snapshot.encoded_entries.items()
-            }
         collection = cls(
             engine=engine if engine is not None else MemoryEngine(),
             validator=validator,
             extended=snapshot.extended,
             indexed=indexed,
         )
-        collection._restore(
-            RecoveredState(
-                next_id=snapshot.next_id,
-                version=snapshot.ops,
-                extended=snapshot.extended,
-                docs=list(snapshot.docs),
-                entries=entries,
-            )
-        )
+        collection._restore(snapshot)
         return collection
 
     def _restore(self, state: RecoveredState) -> None:
         """Load recovered state (engine bind / snapshot restore).
 
         Only valid on an empty collection; documents keep their ids
-        (tombstoned slots stay ``None``), and documents whose counted
-        index entries survived recovery load their postings without a
-        tree walk.
+        (tombstoned slots stay ``None``), and every document's index
+        postings are rebuilt from its tree.
         """
         if self._trees or self._dirty:
             raise StoreError(
@@ -900,11 +854,7 @@ class Collection:
             self._trees[doc_id] = tree
             self._alive += 1
             if self._indexes is not None:
-                counts = state.entries.get(doc_id)
-                if counts:
-                    self._indexes.load_counts(doc_id, counts)
-                else:
-                    self._indexes.add(doc_id, tree)
+                self._indexes.add(doc_id, tree)
         self._version = state.version
 
     def compact(self):
@@ -946,22 +896,3 @@ class Collection:
         kwargs.setdefault("engine", MemoryEngine())
         return cls(documents, **kwargs)
 
-
-def memory_collection(
-    documents: Iterable["JSONTree | JSONValue"] = (), **kwargs: Any
-) -> Collection:
-    """Deprecated spelling of :func:`repro.api.collection`.
-
-    Kept as a working shim so existing scripts survive the API
-    consolidation; new code acquires volatile collections through
-    ``repro.api.collection`` and durable ones through
-    ``repro.api.connect``.
-    """
-    warnings.warn(
-        "repro.store.memory_collection is deprecated; use "
-        "repro.api.collection() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    kwargs.setdefault("engine", MemoryEngine())
-    return Collection(documents, **kwargs)

@@ -10,14 +10,14 @@ under ``path`` otherwise), and hands out one cached handle per name.
 
 Quickstart::
 
-    import repro
+    from repro import api
 
-    with repro.open_database("./mydb") as db:
+    with api.connect("./mydb") as db:
         people = db.collection("people")
         people.insert_many([{"name": "Sue"}, {"name": "Bob"}])
 
     # ...process restarts...
-    with repro.open_database("./mydb") as db:
+    with api.connect("./mydb") as db:
         assert len(db.collection("people")) == 2
         db.compact("people")       # fold the WAL into a snapshot
 
@@ -37,7 +37,7 @@ from repro.store.durable import CompactionReport, DurableEngine
 from repro.store.engine import EngineHealth, MemoryEngine
 from repro.store.faults import IOAdapter
 
-__all__ = ["Database", "open_database"]
+__all__ = ["Database"]
 
 _SNAPSHOT_SUFFIX = ".snapshot.json"
 _WAL_SUFFIX = ".wal"
@@ -211,27 +211,3 @@ class Database:
         where = "memory" if self._path is None else self._path
         return f"Database({where!r}, {len(self._collections)} open)"
 
-
-def open_database(
-    path: "str | os.PathLike | None",
-    *,
-    sync: str = "fsync",
-    compact_threshold: int | None = None,
-    io: IOAdapter | None = None,
-) -> Database:
-    """Deprecated spelling of :func:`repro.api.connect`.
-
-    Kept as a working shim through the API consolidation; ``connect``
-    covers this call exactly (and adds ``shards=``/remote addresses).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.open_database is deprecated; use repro.api.connect() "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Database(
-        path, sync=sync, compact_threshold=compact_threshold, io=io
-    )

@@ -39,9 +39,9 @@ targeted corruption and raises
 A snapshot whose checksum no longer matches its payload (bit rot) is
 set aside with a warning when the WAL still reaches back to LSN 1 --
 full replay reconstructs the state -- and refused loudly (pointing at
-``repro db repair``) when it does not.  Snapshot documents no WAL
-record touched keep their persisted counted index refcounts, so their
-postings load without re-walking the tree.
+``repro db repair``) when it does not.  Snapshots hold documents
+only; the collection rebuilds its index postings from the recovered
+trees on open.
 
 **Compaction.**  ``checkpoint()`` folds the log into a fresh snapshot:
 write-temp + fsync + ``replace`` + parent-directory fsync for the
@@ -73,12 +73,10 @@ from repro.errors import (
 from repro.store.engine import (
     EngineHealth,
     RecoveredState,
-    SnapshotData,
     StorageEngine,
     decode_snapshot,
 )
 from repro.store.faults import IOAdapter, RealIO
-from repro.store.indexes import decode_entry_counts
 from repro.store.wal import WriteAheadLog
 
 __all__ = [
@@ -185,23 +183,20 @@ class ReplayFolder:
 
     def __init__(
         self,
-        snapshot: SnapshotData | None,
+        snapshot: RecoveredState | None,
         snapshot_lsn: int,
         *,
         wal_path: str = "<wal>",
     ) -> None:
-        self._snapshot = snapshot
         self._wal_path = wal_path
         self.slots: dict[int, Any] = {}
-        self.untouched: set[int] = set()
         self.next_id = 0
         self.ops = 0
         self.extended = False
         if snapshot is not None:
             self.slots.update(snapshot.docs)
-            self.untouched.update(self.slots)
             self.next_id = snapshot.next_id
-            self.ops = snapshot.ops
+            self.ops = snapshot.version
             self.extended = snapshot.extended
         self.expected = snapshot_lsn
 
@@ -222,15 +217,12 @@ class ReplayFolder:
                     record["ids"], record["docs"], strict=True
                 ):
                     self.slots[doc_id] = value
-                    self.untouched.discard(doc_id)
                     self.next_id = max(self.next_id, doc_id + 1)
             elif op == "remove":
                 del self.slots[record["id"]]
-                self.untouched.discard(record["id"])
             elif op == "update":
                 for doc_id, value in record["changes"]:
                     self.slots[doc_id] = value
-                    self.untouched.discard(doc_id)
             else:
                 raise StorageFormatError(
                     f"{self._wal_path}: unknown WAL op {op!r} at LSN {lsn}"
@@ -246,24 +238,16 @@ class ReplayFolder:
 
     def state(self) -> RecoveredState:
         """The folded state as the engine's recovery payload."""
-        entries = {}
-        snapshot = self._snapshot
-        if snapshot is not None and snapshot.encoded_entries is not None:
-            for doc_id in self.untouched:
-                encoded = snapshot.encoded_entries.get(doc_id)
-                if encoded is not None:
-                    entries[doc_id] = decode_entry_counts(encoded)
         return RecoveredState(
             next_id=self.next_id,
             version=self.ops,
             extended=self.extended,
             docs=sorted(self.slots.items()),
-            entries=entries,
         )
 
 
 def replay_records(
-    snapshot: SnapshotData | None,
+    snapshot: RecoveredState | None,
     snapshot_lsn: int,
     records: Iterable[dict],
     *,
@@ -391,7 +375,7 @@ class DurableEngine(StorageEngine):
             snapshot, snapshot_lsn, records, wal_path=self._wal_path
         )
 
-    def _load_snapshot_file(self) -> tuple[SnapshotData | None, int, bool]:
+    def _load_snapshot_file(self) -> tuple[RecoveredState | None, int, bool]:
         """Load the snapshot; ``(data, covering_lsn, damaged)``.
 
         ``damaged=True`` means the file exists but its checksum no

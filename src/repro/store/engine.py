@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.errors import StorageFormatError, StoreError
-from repro.store.indexes import Entry, decode_entry_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.store.collection import Collection
@@ -58,7 +57,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "EngineHealth",
     "RecoveredState",
-    "SnapshotData",
     "StorageEngine",
     "MemoryEngine",
     "decode_snapshot",
@@ -72,24 +70,6 @@ SNAPSHOT_FORMAT = "repro-collection-snapshot"
 #: versions they know how to read; anything newer (or unrecognisably
 #: older) raises :class:`~repro.errors.StorageFormatError`.
 SNAPSHOT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SnapshotData:
-    """A decoded (but not yet materialised) collection snapshot.
-
-    ``docs`` preserves document ids -- ids are never reused, so the
-    tombstone layout matters; ``encoded_entries`` keeps the counted
-    index refcounts in their wire form (decode per document with
-    :func:`repro.store.indexes.decode_entry_counts` only for documents
-    the WAL replay left untouched).
-    """
-
-    next_id: int
-    ops: int
-    extended: bool
-    docs: list[tuple[int, Any]]
-    encoded_entries: dict[int, list] | None
 
 
 @dataclass(frozen=True)
@@ -117,30 +97,31 @@ HEALTHY = EngineHealth(ok=True)
 
 @dataclass(frozen=True)
 class RecoveredState:
-    """What an engine hands the collection to restore on open.
+    """A collection's documents as a snapshot or recovery hands them over.
 
-    ``docs`` are ``(doc_id, value)`` pairs in id order; ``entries``
-    maps the ids whose counted index refcounts survived recovery
-    verbatim (snapshot documents no WAL record touched) -- the
-    collection loads those postings without re-walking the tree, and
-    walks the rest.  ``version`` seeds the collection's mutation
-    counter so it keeps increasing across restarts.
+    ``docs`` are ``(doc_id, value)`` pairs in id order; ids are never
+    reused, so ``next_id`` keeps the tombstone layout.  ``version``
+    seeds the collection's mutation counter so it keeps increasing
+    across restarts.  This is all a snapshot holds: index postings are
+    a function of each document's tree, so the collection rebuilds
+    them on restore.
     """
 
     next_id: int
     version: int
     extended: bool
     docs: list[tuple[int, Any]]
-    entries: dict[int, dict[Entry, int]]
 
 
-def decode_snapshot(data: Any) -> SnapshotData:
+def decode_snapshot(data: Any) -> RecoveredState:
     """Validate and decode a :meth:`Collection.snapshot` payload.
 
     The loader-side half of the versioned format: a payload whose
     ``format`` tag or ``version`` is not recognised raises
     :class:`~repro.errors.StorageFormatError` instead of being
-    misread.
+    misread.  Version-1 payloads from builds that also stored index
+    refcounts carry an ``index_entries`` key; it is ignored, since
+    the postings are rebuilt from the documents.
     """
     if not isinstance(data, dict):
         raise StorageFormatError(
@@ -175,21 +156,8 @@ def decode_snapshot(data: Any) -> SnapshotData:
                 f"malformed collection snapshot: document id {doc_id!r} "
                 f"outside [0, {next_id})"
             )
-    raw_entries = data.get("index_entries")
-    encoded: dict[int, list] | None = None
-    if raw_entries is not None:
-        if not isinstance(raw_entries, dict):
-            raise StorageFormatError(
-                "malformed collection snapshot: index_entries must be an object"
-            )
-        # JSON object keys are strings; ids travel as decimal text.
-        encoded = {int(doc_id): entries for doc_id, entries in raw_entries.items()}
-    return SnapshotData(
-        next_id=next_id,
-        ops=ops,
-        extended=bool(extended),
-        docs=docs,
-        encoded_entries=encoded,
+    return RecoveredState(
+        next_id=next_id, version=ops, extended=bool(extended), docs=docs
     )
 
 

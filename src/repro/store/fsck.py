@@ -45,7 +45,7 @@ from repro.store.durable import (
     ReplayFolder,
     verify_snapshot_wrapper,
 )
-from repro.store.engine import SnapshotData, decode_snapshot
+from repro.store.engine import RecoveredState, decode_snapshot
 from repro.store.faults import IOAdapter, RealIO
 from repro.store.wal import WAL_MAGIC, scan_wal
 
@@ -189,7 +189,7 @@ def _paths(path: str, name: str) -> tuple[str, str]:
 
 def _check_snapshot(
     check: CollectionCheck, snapshot_path: str, io: IOAdapter
-) -> tuple[SnapshotData | None, int]:
+) -> tuple[RecoveredState | None, int]:
     """Snapshot findings; returns ``(decoded, covering_lsn)`` on success
     and ``(None, 0)`` when the snapshot is absent or unusable."""
     if not os.path.exists(snapshot_path):
@@ -278,7 +278,7 @@ def _check_wal(
 
 def _shadow_replay(
     check: CollectionCheck,
-    snapshot: SnapshotData | None,
+    snapshot: RecoveredState | None,
     snapshot_lsn: int,
     frames: list[tuple[dict, int]],
     wal_path: str,

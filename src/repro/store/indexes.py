@@ -53,8 +53,6 @@ __all__ = [
     "tree_entry_counts",
     "value_entry_counts",
     "leaf_entry_delta",
-    "encode_entry_counts",
-    "decode_entry_counts",
 ]
 
 _EMPTY: frozenset[int] = frozenset()
@@ -273,48 +271,6 @@ def leaf_entry_delta(
         _bump(counts, ("tail", tail, new_leaf), 1)
 
 
-# ---------------------------------------------------------------------------
-# JSON wire form of counted entries (the snapshot format's refcounts).
-# ---------------------------------------------------------------------------
-
-_PATH_TAGS = ("path", "eq", "kind")  # entries whose first arg is a KeyPath
-
-
-def encode_entry_counts(counts: dict[Entry, int]) -> list:
-    """Counted entries as JSON-able ``[[tag, ...args], count]`` rows.
-
-    Key paths become lists, :class:`~repro.model.tree.Kind` becomes its
-    integer value; leaf values (``str | int``) survive JSON verbatim.
-    The inverse is :func:`decode_entry_counts`.
-    """
-    rows = []
-    for entry, count in counts.items():
-        tag = entry[0]
-        if tag in _PATH_TAGS:
-            encoded = [tag, list(entry[1]), *entry[2:]]
-            if tag == "kind":
-                encoded[2] = int(encoded[2])
-        else:
-            encoded = list(entry)
-        rows.append([encoded, count])
-    return rows
-
-
-def decode_entry_counts(rows: Iterable) -> dict[Entry, int]:
-    """Rebuild a counted entry dict from its JSON wire form."""
-    counts: dict[Entry, int] = {}
-    for encoded, count in rows:
-        tag = encoded[0]
-        if tag in _PATH_TAGS:
-            entry: Entry = (tag, tuple(encoded[1]), *encoded[2:])
-            if tag == "kind":
-                entry = (tag, entry[1], Kind(entry[2]))
-        else:
-            entry = tuple(encoded)
-        counts[entry] = count
-    return counts
-
-
 @dataclass
 class IndexStats:
     """Size counters for introspection, tests and benchmarks."""
@@ -386,22 +342,20 @@ class DocumentIndexes:
     # ------------------------------------------------------------------
 
     def add(self, doc_id: int, tree: JSONTree) -> None:
-        counts = tree_entry_counts(tree)
-        self._doc_entries[doc_id] = counts
-        for entry in counts:
-            self._add_entry(entry, doc_id)
-        self._documents += 1
+        """Index a document: one walk of ``tree``, then its postings."""
+        self.load_counts(doc_id, tree_entry_counts(tree))
 
     def load_counts(self, doc_id: int, counts: dict[Entry, int]) -> None:
-        """Register a document from stored entry refcounts (no walk).
+        """Register a document from its counted entries (as
+        :func:`tree_entry_counts` computes them), taking ownership of
+        ``counts``.
 
-        The snapshot-restore fast path: equivalent to :meth:`add` with
-        the tree the counts were computed from, but skips the top-down
-        walk entirely -- recovery trusts the refcounts it persisted
-        (the crash-recovery suite pins them against a from-scratch
-        rebuild).
+        The posting half of :meth:`add`, a method of its own so the
+        benchmark tracer (``perfbench/tracing.py``) times the walk and
+        the posting fold apart.  Snapshots hold documents only, so
+        every restore indexes through :meth:`add` as well.
         """
-        self._doc_entries[doc_id] = dict(counts)
+        self._doc_entries[doc_id] = counts
         for entry in counts:
             self._add_entry(entry, doc_id)
         self._documents += 1

@@ -75,7 +75,6 @@ __all__ = [
     "shard_name",
     "ShardedEngine",
     "ShardedCollection",
-    "sharded_collection",
 ]
 
 SHARDING_META = "sharding.json"
@@ -322,7 +321,12 @@ class _WorkerHandle:
         self.receive()  # the ready handshake (raises on recovery failure)
 
     def send(self, op: str, payload: Any) -> None:
-        self.conn.send((op, payload))
+        try:
+            self.conn.send((op, payload))
+        except OSError:
+            raise StoreError(
+                "shard worker died (connection closed before the request)"
+            ) from None
 
     def receive(self) -> Any:
         try:
@@ -510,7 +514,9 @@ class ShardedEngine:
 
         Parallel mode sends every request before receiving any reply,
         so the shards execute concurrently; errors re-raise after all
-        replies drain, keeping the pipes in lock-step.
+        replies drain, keeping the pipes in lock-step.  A send that
+        fails (a dead worker) stops the fan-out: the workers already
+        sent to are drained, then its error is raised.
         """
         if len(payloads) != self._shard_count:
             raise StoreError(
@@ -522,11 +528,17 @@ class ShardedEngine:
                 _WORKER_OPS[op](shard, payload)
                 for shard, payload in zip(self._shards, payloads)
             ]
-        for worker, payload in zip(self._workers, payloads):
-            worker.send(op, payload)
-        results: list[Any] = []
+        sent: list[_WorkerHandle] = []
         first_error: BaseException | None = None
-        for worker in self._workers:
+        for worker, payload in zip(self._workers, payloads):
+            try:
+                worker.send(op, payload)
+            except StoreError as exc:
+                first_error = exc
+                break
+            sent.append(worker)
+        results: list[Any] = []
+        for worker in sent:
             try:
                 results.append(worker.receive())
             except BaseException as exc:
@@ -1061,24 +1073,3 @@ class ShardedCollection:
             f"next_id={self._next_id})"
         )
 
-
-def sharded_collection(
-    documents: Iterable["JSONTree | JSONValue"] = (),
-    *,
-    shards: int = 4,
-    parallel: bool | str = "auto",
-    **kwargs: Any,
-) -> ShardedCollection:
-    """Deprecated spelling of ``repro.api.collection(..., shards=N)``
-    (or ``repro.api.connect(path, shards=N)`` for durable ones)."""
-    import warnings
-
-    warnings.warn(
-        "repro.store.sharded_collection is deprecated; use "
-        "repro.api.collection(..., shards=N) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ShardedCollection(
-        documents, shards=shards, parallel=parallel, **kwargs
-    )

@@ -17,6 +17,7 @@ import pytest
 from repro import api
 from repro.client import RemoteDatabase
 from repro.errors import DocumentRejectedError, StoreError
+from repro.mongo.update import UpdateResult
 from repro.server import ReproServer
 from repro.store import Collection, Database, MemoryEngine, ShardedCollection
 from repro.workloads import people_collection
@@ -200,3 +201,32 @@ class TestUniformProtocol:
         finally:
             backend.remove(doc_id)
         assert backend.count({"name.first": "Api"}) == 0
+
+    def test_writes_return_update_results(self, backend):
+        doc_id = backend.insert({"probe": "upd", "n": 1})
+        upserted = None
+        try:
+            results = [
+                backend.update_one({"probe": "upd"}, {"$inc": {"n": 1}}),
+                backend.update_many({"probe": "upd"}, {"$set": {"n": 2}}),
+                backend.update_many({"probe": "none"}, {"$set": {"n": 0}}),
+                backend.replace_one({"probe": "upd"}, {"probe": "upd"}),
+            ]
+            assert all(type(result) is UpdateResult for result in results)
+            assert results == [
+                UpdateResult(1, 1, None),
+                UpdateResult(1, 0, None),
+                UpdateResult(0, 0, None),
+                UpdateResult(1, 1, None),
+            ]
+            result = backend.update_one(
+                {"probe": "new"}, {"$set": {"n": 5}}, upsert=True
+            )
+            upserted = result.upserted_id
+            assert type(result) is UpdateResult
+            assert (result.matched_count, result.modified_count) == (0, 0)
+            assert backend.find({"probe": "new"}) == [{"probe": "new", "n": 5}]
+        finally:
+            backend.remove(doc_id)
+            if upserted is not None:
+                backend.remove(upserted)

@@ -7,8 +7,7 @@ truncating the WAL mid-frame recovers the longest committed prefix
 without an error.  Around those: the frame format (CRC, torn tails,
 foreign files), the commit ordering invariant (schema rejections leave
 no disk trace), versioned snapshots, log compaction (including an
-interrupted one), the :class:`repro.store.Database` factory, and the
-deprecation shim on engineless ``Collection(...)`` construction.
+interrupted one) and the :class:`repro.store.Database` factory.
 
 The randomised crash-recovery suite scales with ``REPRO_DIFF_SCALE``
 (the nightly CI job runs it at ~20x the per-PR iteration counts).
@@ -34,6 +33,7 @@ from repro.store import (
     MemoryEngine,
     WriteAheadLog,
 )
+from repro.store.durable import encode_snapshot_wrapper
 from repro.store.wal import WAL_MAGIC
 from repro.workloads import people_collection
 from repro import api
@@ -74,6 +74,34 @@ def assert_oracle(collection: Collection) -> None:
     """Recovered indexes must equal a from-scratch rebuild, across all
     six posting tables (including per-document entry refcounts)."""
     assert collection.indexes.snapshot() == rebuilt(collection).snapshot()
+
+
+#: A snapshot payload as builds that persisted index refcounts wrote
+#: it: version 1 with an ``index_entries`` object (doc 1 removed, doc
+#: 0 updated after insert).
+REFCOUNTED_SNAPSHOT = json.loads(
+    '{"format": "repro-collection-snapshot", "version": 1, "extended": '
+    'false, "next_id": 3, "ops": 3, "docs": [[0, {"name": "Sue", "tags": '
+    '["a", "b"], "age": 35}], [2, {"name": "Bob", "box": {"n": [1, [2]]}}]],'
+    ' "index_entries": {"0": [[["path", []], 1], [["kind", [], 0], 1], '
+    '[["key", "name"], 1], [["path", ["name"]], 1], [["kind", ["name"], 2], '
+    '1], [["eq", ["name"], "Sue"], 1], [["val", "Sue"], 1], [["tail", '
+    '"name", "Sue"], 1], [["key", "tags"], 1], [["path", ["tags"]], 3], '
+    '[["kind", ["tags"], 1], 1], [["kind", ["tags"], 2], 2], [["eq", '
+    '["tags"], "a"], 1], [["val", "a"], 1], [["tail", "tags", "a"], 1], '
+    '[["eq", ["tags"], "b"], 1], [["val", "b"], 1], [["tail", "tags", "b"],'
+    ' 1], [["key", "age"], 1], [["path", ["age"]], 1], [["kind", ["age"], '
+    '3], 1], [["eq", ["age"], 35], 1], [["val", 35], 1], [["tail", "age", '
+    '35], 1]], "2": [[["path", []], 1], [["kind", [], 0], 1], [["key", '
+    '"name"], 1], [["path", ["name"]], 1], [["kind", ["name"], 2], 1], '
+    '[["eq", ["name"], "Bob"], 1], [["val", "Bob"], 1], [["tail", "name", '
+    '"Bob"], 1], [["key", "box"], 1], [["path", ["box"]], 1], [["kind", '
+    '["box"], 0], 1], [["key", "n"], 1], [["path", ["box", "n"]], 4], '
+    '[["kind", ["box", "n"], 1], 2], [["kind", ["box", "n"], 3], 2], '
+    '[["eq", ["box", "n"], 1], 1], [["val", 1], 1], [["tail", "n", 1], 1], '
+    '[["eq", ["box", "n"], 2], 1], [["val", 2], 1], [["tail", "n", 2], '
+    '1]]}}'
+)
 
 
 def frame(payload: dict) -> bytes:
@@ -353,6 +381,51 @@ class TestSnapshotVersioning:
         with pytest.raises(StorageFormatError):
             Collection.from_snapshot(snapshot, engine=MemoryEngine())
 
+    def test_snapshot_holds_documents_only(self, tmp_path):
+        assert "index_entries" not in api.collection([{"a": 1}]).snapshot()
+        collection = durable(tmp_path, documents=[{"a": [1, 2]}])
+        collection.compact()
+        collection.close()
+        path = str(tmp_path / "main.snapshot.json")
+        with open(path, encoding="utf-8") as handle:
+            wrapper = json.load(handle)
+        assert sorted(wrapper["collection"]) == [
+            "docs", "extended", "format", "next_id", "ops", "version"
+        ]
+
+    @pytest.mark.parametrize("entries", ["stored", "stale"])
+    def test_payload_with_index_entries_opens_with_rebuilt_postings(
+        self, tmp_path, entries
+    ):
+        """Snapshots written with index refcounts still open, and the
+        refcounts are ignored: postings always equal a rebuild."""
+        payload = copy.deepcopy(REFCOUNTED_SNAPSHOT)
+        if entries == "stale":
+            payload["index_entries"]["0"] = [[["val", "ghost"], 1]]
+        clone = Collection.from_snapshot(payload, engine=MemoryEngine())
+        assert values(clone) == {
+            0: {"name": "Sue", "tags": ["a", "b"], "age": 35},
+            2: {"name": "Bob", "box": {"n": [1, [2]]}},
+        }
+        assert clone.doc_ids() == [0, 2] and clone.version == 3
+        assert_oracle(clone)
+
+        with open(str(tmp_path / "main.snapshot.json"), "wb") as handle:
+            handle.write(encode_snapshot_wrapper(payload, 4))
+        with open(str(tmp_path / "main.wal"), "wb") as handle:
+            handle.write(WAL_MAGIC)
+            handle.write(frame({"lsn": 5, "op": "update",
+                                "changes": [[2, {"name": "Bob"}]]}))
+        reopened = durable(tmp_path)
+        assert values(reopened) == {
+            0: {"name": "Sue", "tags": ["a", "b"], "age": 35},
+            2: {"name": "Bob"},
+        }
+        assert_oracle(reopened)
+        assert reopened.find({"val": "ghost"}) == []
+        assert reopened.find({"tags": "a"}) == [values(reopened)[0]]
+        reopened.close()
+
     def test_durable_snapshot_file_version_checked(self, tmp_path):
         collection = durable(tmp_path, documents=[{"a": 1}])
         collection.compact()
@@ -405,12 +478,6 @@ class TestDatabase:
 
 
 class TestDeprecationShim:
-    def test_engineless_construction_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="storage engine"):
-            collection = Collection([{"a": 1}])
-        assert len(collection) == 1
-        assert isinstance(collection.engine, MemoryEngine)
-
     def test_blessed_spellings_do_not_warn(self, recwarn):
         api.collection([{"a": 1}])
         Collection([{"a": 1}], engine=MemoryEngine())
@@ -421,22 +488,6 @@ class TestDeprecationShim:
             for warning in recwarn.list
             if issubclass(warning.category, DeprecationWarning)
         ]
-
-    def test_old_spellings_warn_but_work(self, tmp_path):
-        from repro.store import (
-            memory_collection,
-            open_database,
-            sharded_collection,
-        )
-
-        with pytest.warns(DeprecationWarning, match="repro.api.collection"):
-            assert len(memory_collection([{"a": 1}])) == 1
-        with pytest.warns(DeprecationWarning, match="repro.api.connect"):
-            with open_database(tmp_path) as db:
-                db.collection(documents=[{"a": 1}])
-        with pytest.warns(DeprecationWarning, match="shards=N"):
-            with sharded_collection([{"a": 1}], shards=2, parallel=False) as sc:
-                assert len(sc) == 1
 
 
 def _random_op(rng, collection, mirror):

@@ -263,19 +263,11 @@ def _entry_points(collection, filter_doc) -> dict:
         ),
         "explain": _outcome(lambda: _matched(collection.explain(filter_doc))),
         "update": _outcome(
-            lambda: _matched_count(
-                collection.update_many(filter_doc, {"$inc": {"hits": 1}})
-            )
+            lambda: collection.update_many(
+                filter_doc, {"$inc": {"hits": 1}}
+            ).matched_count
         ),
     }
-
-
-def _matched_count(result) -> int:
-    """``UpdateResult.matched_count``; the remote client returns the
-    wire document."""
-    if isinstance(result, dict):
-        return result["matched"]
-    return result.matched_count
 
 
 def _check_one_answer(outcomes: dict, filter_doc) -> None:

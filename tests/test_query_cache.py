@@ -10,28 +10,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro.model.tree import JSONTree
-from repro.query import (
+from repro.cache import (
+    DEFAULT_CAPACITY,
     LRUCache,
-    clear_query_cache,
-    compile_mongo_find,
-    compile_query,
-    configure_query_cache,
-    evaluate_many,
-    query_cache,
-    query_cache_stats,
+    artifact_cache,
+    artifact_cache_stats,
+    clear_artifact_cache,
+    configure_artifact_cache,
 )
-from repro.cache import DEFAULT_CAPACITY
+from repro.model.tree import JSONTree
+from repro.query import compile_mongo_find, compile_query, evaluate_many
 
 
 @pytest.fixture
 def clean_global_cache():
     """An empty global cache, restored to defaults afterwards."""
-    clear_query_cache()
-    configure_query_cache(DEFAULT_CAPACITY)
-    yield query_cache()
-    clear_query_cache()
-    configure_query_cache(DEFAULT_CAPACITY)
+    clear_artifact_cache()
+    configure_artifact_cache(DEFAULT_CAPACITY)
+    yield artifact_cache()
+    clear_artifact_cache()
+    configure_artifact_cache(DEFAULT_CAPACITY)
 
 
 class TestLRUCache:
@@ -101,7 +99,7 @@ class TestGlobalCompileCache:
         first = compile_query("$.a.b", "jsonpath")
         second = compile_query("$.a.b", "jsonpath")
         assert first is second
-        stats = query_cache_stats()
+        stats = artifact_cache_stats()
         assert stats.hits == 1 and stats.misses == 1
 
     def test_dialect_is_part_of_the_key(self, clean_global_cache):
@@ -115,7 +113,7 @@ class TestGlobalCompileCache:
         first = compile_mongo_find({"a": 1, "b": 2})
         second = compile_mongo_find({"b": 2, "a": 1})  # same filter, reordered
         assert first is second
-        assert query_cache_stats().hits == 1
+        assert artifact_cache_stats().hits == 1
 
     def test_mongo_projection_distinguishes_plans(self, clean_global_cache):
         bare = compile_mongo_find({"a": 1})
@@ -124,11 +122,11 @@ class TestGlobalCompileCache:
         assert projected.projection is not None
 
     def test_capacity_eviction_recompiles(self, clean_global_cache):
-        configure_query_cache(2)
+        configure_artifact_cache(2)
         plan_a = compile_query("$.a", "jsonpath")
         compile_query("$.b", "jsonpath")
         compile_query("$.c", "jsonpath")  # evicts $.a
-        stats = query_cache_stats()
+        stats = artifact_cache_stats()
         assert stats.evictions == 1 and stats.size == 2
         assert compile_query("$.a", "jsonpath") is not plan_a  # recompiled
 
@@ -136,7 +134,7 @@ class TestGlobalCompileCache:
         first = compile_query("$.a", "jsonpath", cache=None)
         second = compile_query("$.a", "jsonpath", cache=None)
         assert first is not second
-        stats = query_cache_stats()
+        stats = artifact_cache_stats()
         assert stats.hits == 0 and stats.misses == 0
 
     def test_private_cache_instance(self, clean_global_cache):
@@ -144,7 +142,7 @@ class TestGlobalCompileCache:
         compile_query("$.a", "jsonpath", cache=private)
         compile_query("$.a", "jsonpath", cache=private)
         assert private.stats().hits == 1
-        assert query_cache_stats().misses == 0  # global untouched
+        assert artifact_cache_stats().misses == 0  # global untouched
 
 
 class TestNoStaleResults:
@@ -184,56 +182,3 @@ class TestNoStaleResults:
         trees.append(JSONTree.from_value({"x": 5}))
         assert match_many(query, trees) == [False, True]
 
-
-class TestDeprecatedShimParity:
-    """The repro.query.cache shim must track repro.cache exactly."""
-
-    # Shim alias -> the repro.cache name it must re-export.
-    MAPPING = {
-        "CacheStats": "CacheStats",
-        "LRUCache": "LRUCache",
-        "DEFAULT_CAPACITY": "DEFAULT_CAPACITY",
-        "query_cache": "artifact_cache",
-        "query_cache_stats": "artifact_cache_stats",
-        "clear_query_cache": "clear_artifact_cache",
-        "configure_query_cache": "configure_artifact_cache",
-    }
-
-    def _fresh_shim(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.query.cache", None)
-        with pytest.warns(DeprecationWarning, match="repro.query.cache"):
-            return importlib.import_module("repro.query.cache")
-
-    def test_public_surface_matches_repro_cache(self):
-        import repro.cache as canonical
-
-        shim = self._fresh_shim()
-        assert sorted(shim.__all__) == sorted(self.MAPPING)
-        for alias, target in self.MAPPING.items():
-            assert getattr(shim, alias) is getattr(canonical, target), alias
-
-    def test_shim_behaviour_parity(self):
-        """The re-exported callables act on the shared artifact cache."""
-        from repro.cache import artifact_cache, artifact_cache_stats
-
-        shim = self._fresh_shim()
-        assert shim.query_cache() is artifact_cache()
-        assert shim.query_cache_stats() == artifact_cache_stats()
-
-    def test_warns_once_per_import_not_per_use(self):
-        import importlib
-        import sys
-        import warnings
-
-        self._fresh_shim()  # first import warns (asserted inside)
-        with warnings.catch_warnings():
-            # A later import hits the module cache, attribute access is
-            # silent: any DeprecationWarning here becomes an error.
-            warnings.simplefilter("error", DeprecationWarning)
-            shim = importlib.import_module("repro.query.cache")
-            shim.query_cache()
-            shim.query_cache_stats()
-        assert "repro.query.cache" in sys.modules

@@ -169,21 +169,3 @@ class TestPlanCacheRegistration:
         with pytest.raises(ValueError):
             ir.plan_for()
 
-
-class TestDeprecatedQueryCacheShim:
-    def test_import_warns(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.query.cache", None)
-        with pytest.warns(DeprecationWarning, match="repro.cache"):
-            importlib.import_module("repro.query.cache")
-
-    def test_shim_still_aliases_the_artifact_cache(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.query.cache import query_cache
-
-        assert query_cache() is artifact_cache()

@@ -38,6 +38,7 @@ from repro.errors import (
     from_wire,
     to_wire,
 )
+from repro.mongo.update import UpdateResult
 from repro.server import PROTOCOL_VERSION, ReproServer
 from repro.store import Collection, DurableEngine
 from repro.store.faults import FaultPlan, FaultyIO, SimulatedCrash
@@ -164,25 +165,23 @@ class TestRoundTrip:
         result = collection.update_one(
             {"name": "Zoe"}, {"$inc": {"age": 1}}
         )
-        assert result == {"matched": 1, "modified": 1, "upserted_id": None}
+        assert result == UpdateResult(1, 1, None)
         assert collection.get(doc_id)["age"] == 32
 
         result = collection.update_many(
             {"name": {"$in": ["Ana", "Bo"]}}, {"$set": {"seen": 1}}
         )
-        assert result["matched"] == 2 and result["modified"] == 2
+        assert (result.matched_count, result.modified_count) == (2, 2)
 
         result = collection.update_one(
             {"name": "Nix"}, {"$set": {"name": "Nix"}}, upsert=True
         )
-        assert result["matched"] == 0
-        assert collection.get(result["upserted_id"]) == {"name": "Nix"}
+        assert result.matched_count == 0
+        assert collection.get(result.upserted_id) == {"name": "Nix"}
 
-        assert collection.replace_one({"name": "Nix"}, {"name": "Pix"}) == {
-            "matched": 1,
-            "modified": 1,
-            "upserted_id": None,
-        }
+        assert collection.replace_one(
+            {"name": "Nix"}, {"name": "Pix"}
+        ) == UpdateResult(1, 1, None)
         removed = collection.remove(doc_id)
         assert removed["name"] == "Zoe"
         assert collection.count({"name": "Zoe"}) == 0
@@ -409,9 +408,12 @@ class TestConcurrencyDifferential:
                         collection = remote.collection()
                         pairs = 0
                         for round_no in range(rounds):
-                            await collection.update_many(
+                            result = await collection.update_many(
                                 {"kind": "acct"},
                                 {"$inc": {"balance": 1}},
+                            )
+                            assert result == UpdateResult(
+                                ACCOUNTS, ACCOUNTS, None
                             )
                             if round_no % 3 == 0:
                                 await collection.insert_many(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 
 import pytest
 
@@ -454,6 +455,26 @@ class TestWorkerPool:
                 fleet.remove(999)  # no such document on the owning shard
             # The pool survives a raised per-shard error.
             assert len(fleet) == 20
+        finally:
+            fleet.close()
+
+    def test_dead_worker_raises_store_error(self):
+        fleet = ShardedCollection(PEOPLE[:20], shards=2, parallel=True)
+        try:
+            if not fleet.parallel:
+                pytest.skip("no usable worker pool")
+            victim = fleet.engine._workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5)
+            assert not victim.is_alive()
+            with pytest.raises(StoreError, match="shard worker died"):
+                fleet.count({})
+            with pytest.raises(StoreError, match="shard worker died"):
+                fleet.insert_many([{"name": "late"}, {"name": "later"}])
+            # The live shard's pipe stays in lock-step: it answers its
+            # own request, not a reply left over from the scatters.
+            survivor = next(i for i in range(20) if shard_of(i, 2) == 0)
+            assert fleet.get_value(survivor) == PEOPLE[survivor]
         finally:
             fleet.close()
 

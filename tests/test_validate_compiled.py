@@ -369,12 +369,8 @@ class TestValidatorCaching:
             clear_artifact_cache()
 
     def test_query_plans_and_validators_share_one_cache(self):
-        from repro.cache import artifact_cache
-        from repro.query import compile_query, query_cache
+        from repro.query import compile_query
 
-        # The PR-1 query cache and the validator cache are the same
-        # process-wide instance (unified stats).
-        assert query_cache() is artifact_cache()
         cache = LRUCache(capacity=8)
         compile_query("$.a", "jsonpath", cache=cache)
         compile_schema_validator(parse_schema({"type": "string"}), cache=cache)
