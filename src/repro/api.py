@@ -62,25 +62,35 @@ def connect(
       worker pool as in :class:`~repro.store.sharded.ShardedCollection`;
     * ``connect("tcp://host:port")`` -- a client to a ``repro serve``
       process (see :mod:`repro.client`); the remote database accepts no
-      local storage keywords.
+      other keyword, since the server process owns that configuration.
 
     ``io`` swaps the filesystem adapter on durable backends (fault
     injection; see :mod:`repro.store.faults`).  ``optimize`` sets the
-    database-wide semantic-optimizer mode (``"on"``/``"off"``/
-    ``"proof-only"``; remote connections accept ``on``/``off`` only).
+    database-wide semantic-optimizer mode, ``"on"`` or ``"off"``
+    (the reference path: no proofs, every candidate verified).
     Every return value is a context manager whose collections share
     the uniform protocol.
     """
     check_optimize_mode(optimize)
     if isinstance(path, str) and path.startswith("tcp://"):
-        if shards != 1 or io is not None:
+        local = {
+            "shards": shards != 1,
+            "io": io is not None,
+            "sync": sync != "fsync",
+            "compact_threshold": compact_threshold is not None,
+            "parallel": parallel != "auto",
+            "start_method": start_method is not None,
+            "optimize": optimize != "on",
+        }
+        given = [name for name, is_set in local.items() if is_set]
+        if given:
             raise StoreError(
-                "a remote connection takes no shards/io keywords; "
-                "configure the server process instead"
+                f"a remote connection takes no {'/'.join(given)} "
+                "keywords; configure the server process instead"
             )
         from repro.client import connect as client_connect
 
-        return client_connect(path, optimize=optimize)
+        return client_connect(path)
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")
     if shards == 1:
@@ -121,8 +131,8 @@ def collection(
 
     ``shards=N`` partitions it across N shards.  Anything that
     should survive a restart belongs behind :func:`connect` with a
-    path.  ``optimize`` sets the semantic-optimizer mode; per query,
-    ``hint={"no_semantic": True}`` opts a single read out.
+    path.  ``optimize="off"`` turns the semantic optimizer off for
+    this collection (the on-vs-off reference path).
     """
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")

@@ -20,6 +20,11 @@ code raises -- a write against a degraded engine raises
 :class:`~repro.errors.CollectionReadOnlyError` here exactly as it
 would in-process -- via the stable wire ``code`` taxonomy of
 :mod:`repro.errors`.
+
+A client takes no query options beyond the collection surface: the
+semantic optimizer runs as the served database was configured (a
+server over a database opened with ``optimize="off"`` disables it for
+every client).
 """
 
 from __future__ import annotations
@@ -60,31 +65,6 @@ def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
             f"server address {address!r} is not of the form 'host:port'"
         )
     return host or "127.0.0.1", int(port)
-
-
-def _check_optimize(optimize: str) -> str:
-    """The remote spelling of the semantic-optimizer knob.
-
-    ``"proof-only"`` is a collection-side mode (prove, report, never
-    enforce); a client cannot impose it on a server's collections, so
-    asking for it here is an error rather than a silent downgrade.
-    """
-    if optimize not in ("on", "off"):
-        raise StoreError(
-            f"remote optimize mode must be 'on' or 'off', got {optimize!r}"
-        )
-    return optimize
-
-
-def _merge_hint(
-    optimize: str, hint: "dict[str, Any] | None"
-) -> "dict[str, Any] | None":
-    """The per-request hint, folding in a client-wide ``optimize="off"``."""
-    if optimize == "off":
-        merged = dict(hint or {})
-        merged["no_semantic"] = True
-        return merged
-    return hint
 
 
 def _update_result(reply: dict[str, Any]) -> UpdateResult:
@@ -134,13 +114,7 @@ class RemoteDatabase:
     socket (open one client per thread, as with any connection handle).
     """
 
-    def __init__(
-        self,
-        address: "str | tuple[str, int]",
-        *,
-        optimize: str = "on",
-    ) -> None:
-        self._optimize = _check_optimize(optimize)
+    def __init__(self, address: "str | tuple[str, int]") -> None:
         host, port = parse_address(address)
         self._address = (host, port)
         self._socket = socket.create_connection((host, port))
@@ -169,12 +143,7 @@ class RemoteDatabase:
     # -- database surface --------------------------------------------------
 
     def collection(self, name: str = "main") -> "RemoteCollection":
-        return RemoteCollection(self, name, optimize=self._optimize)
-
-    @property
-    def optimize(self) -> str:
-        """The client-wide semantic-optimizer knob (``on``/``off``)."""
-        return self._optimize
+        return RemoteCollection(self, name)
 
     def collection_names(self) -> list[str]:
         return self.request("collections")
@@ -224,31 +193,12 @@ class RemoteDatabase:
 class RemoteCollection:
     """The uniform collection surface, proxied over the wire."""
 
-    def __init__(
-        self,
-        database: RemoteDatabase,
-        name: str,
-        *,
-        optimize: str = "on",
-    ) -> None:
+    def __init__(self, database: RemoteDatabase, name: str) -> None:
         self._database = database
         self.name = name
-        self._optimize = _check_optimize(optimize)
 
     def _request(self, op: str, **fields: Any) -> Any:
         return self._database.request(op, collection=self.name, **fields)
-
-    def _read_fields(
-        self, hint: "dict[str, Any] | None", **fields: Any
-    ) -> dict[str, Any]:
-        merged = _merge_hint(self._optimize, hint)
-        if merged is not None:
-            fields["hint"] = merged
-        return fields
-
-    @property
-    def optimize(self) -> str:
-        return self._optimize
 
     # -- reads -------------------------------------------------------------
 
@@ -256,30 +206,17 @@ class RemoteCollection:
         self,
         filter_doc: dict[str, Any],
         projection: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
     ) -> list[Any]:
-        fields = self._read_fields(hint, filter=filter_doc)
+        fields: dict[str, Any] = {"filter": filter_doc}
         if projection is not None:
             fields["projection"] = projection
         return self._request("find", **fields)
 
-    def count(
-        self,
-        filter_doc: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> int:
-        return self._request(
-            "count", **self._read_fields(hint, filter=filter_doc or {})
-        )
+    def count(self, filter_doc: dict[str, Any] | None = None) -> int:
+        return self._request("count", filter=filter_doc or {})
 
-    def aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ) -> list[Any]:
-        return self._request(
-            "aggregate", **self._read_fields(hint, pipeline=pipeline)
-        )
+    def aggregate(self, pipeline: list) -> list[Any]:
+        return self._request("aggregate", pipeline=pipeline)
 
     def select(
         self, query: str, dialect: str = "jsonpath"
@@ -303,7 +240,6 @@ class RemoteCollection:
         pipeline: list | None = None,
         update: dict[str, Any] | None = None,
         first_only: bool = False,
-        hint: dict[str, Any] | None = None,
     ) -> Explain:
         """The server's :class:`~repro.explain.Explain`, rehydrated.
 
@@ -311,7 +247,7 @@ class RemoteCollection:
         an update dry run, or a bare filter for a find explain --
         exactly the local collection surface.
         """
-        fields = self._read_fields(hint, filter=filter_doc or {})
+        fields: dict[str, Any] = {"filter": filter_doc or {}}
         if pipeline is not None:
             fields["pipeline"] = pipeline
         elif update is not None:
@@ -387,16 +323,13 @@ class RemoteCollection:
         return f"RemoteCollection({self.name!r}, {self._database!r})"
 
 
-def connect(
-    address: "str | tuple[str, int]", *, optimize: str = "on"
-) -> RemoteDatabase:
+def connect(address: "str | tuple[str, int]") -> RemoteDatabase:
     """Open a blocking client to a ``repro serve`` address.
 
-    ``optimize="off"`` makes every read from this client carry a
-    ``{"no_semantic": true}`` hint, disabling the server's semantic
-    optimizer for exactly this connection's queries.
+    Reads run with the served database's semantic-optimizer mode; the
+    client has no optimizer knob of its own.
     """
-    return RemoteDatabase(address, optimize=optimize)
+    return RemoteDatabase(address)
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +347,23 @@ class AsyncRemoteDatabase:
     """
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        optimize: str = "on",
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._reader = reader
         self._writer = writer
         self._next_id = 0
         self._closed = False
         self._lock = asyncio.Lock()
-        self._optimize = _check_optimize(optimize)
 
     @classmethod
     async def open(
-        cls,
-        address: "str | tuple[str, int]",
-        *,
-        optimize: str = "on",
+        cls, address: "str | tuple[str, int]"
     ) -> "AsyncRemoteDatabase":
         host, port = parse_address(address)
         reader, writer = await asyncio.open_connection(
             host, port, limit=protocol.MAX_LINE_BYTES
         )
-        client = cls(reader, writer, optimize=optimize)
+        client = cls(reader, writer)
         greeting = await reader.readline()
         if not greeting:
             raise WireProtocolError("server closed the connection")
@@ -461,11 +386,7 @@ class AsyncRemoteDatabase:
         return _unwrap(request_id, protocol.decode(line))
 
     def collection(self, name: str = "main") -> "AsyncRemoteCollection":
-        return AsyncRemoteCollection(self, name, optimize=self._optimize)
-
-    @property
-    def optimize(self) -> str:
-        return self._optimize
+        return AsyncRemoteCollection(self, name)
 
     async def collection_names(self) -> list[str]:
         return await self.request("collections")
@@ -499,56 +420,28 @@ class AsyncRemoteDatabase:
 class AsyncRemoteCollection:
     """Awaitable twin of :class:`RemoteCollection`."""
 
-    def __init__(
-        self,
-        database: AsyncRemoteDatabase,
-        name: str,
-        *,
-        optimize: str = "on",
-    ) -> None:
+    def __init__(self, database: AsyncRemoteDatabase, name: str) -> None:
         self._database = database
         self.name = name
-        self._optimize = _check_optimize(optimize)
 
     def _request(self, op: str, **fields: Any) -> Any:
         return self._database.request(op, collection=self.name, **fields)
-
-    def _read_fields(
-        self, hint: "dict[str, Any] | None", **fields: Any
-    ) -> dict[str, Any]:
-        merged = _merge_hint(self._optimize, hint)
-        if merged is not None:
-            fields["hint"] = merged
-        return fields
 
     async def find(
         self,
         filter_doc: dict[str, Any],
         projection: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
     ) -> list[Any]:
-        fields = self._read_fields(hint, filter=filter_doc)
+        fields: dict[str, Any] = {"filter": filter_doc}
         if projection is not None:
             fields["projection"] = projection
         return await self._request("find", **fields)
 
-    async def count(
-        self,
-        filter_doc: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> int:
-        return await self._request(
-            "count", **self._read_fields(hint, filter=filter_doc or {})
-        )
+    async def count(self, filter_doc: dict[str, Any] | None = None) -> int:
+        return await self._request("count", filter=filter_doc or {})
 
-    async def aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ) -> list[Any]:
-        return await self._request(
-            "aggregate", **self._read_fields(hint, pipeline=pipeline)
-        )
+    async def aggregate(self, pipeline: list) -> list[Any]:
+        return await self._request("aggregate", pipeline=pipeline)
 
     async def select(
         self, query: str, dialect: str = "jsonpath"
@@ -574,9 +467,8 @@ class AsyncRemoteCollection:
         pipeline: list | None = None,
         update: dict[str, Any] | None = None,
         first_only: bool = False,
-        hint: dict[str, Any] | None = None,
     ) -> Explain:
-        fields = self._read_fields(hint, filter=filter_doc or {})
+        fields: dict[str, Any] = {"filter": filter_doc or {}}
         if pipeline is not None:
             fields["pipeline"] = pipeline
         elif update is not None:
@@ -641,8 +533,6 @@ class AsyncRemoteCollection:
         return await self._request("remove", doc_id=doc_id)
 
 
-async def aconnect(
-    address: "str | tuple[str, int]", *, optimize: str = "on"
-) -> AsyncRemoteDatabase:
+async def aconnect(address: "str | tuple[str, int]") -> AsyncRemoteDatabase:
     """Open an asyncio client to a ``repro serve`` address."""
-    return await AsyncRemoteDatabase.open(address, optimize=optimize)
+    return await AsyncRemoteDatabase.open(address)

@@ -81,16 +81,17 @@ class SemanticsExplain:
 
     ``verdict`` is the proof outcome -- ``"empty"`` (schema ^ query
     unsatisfiable), ``"all"`` (schema entails the query), ``"residual"``
-    (some conjuncts entailed, the rest still verified) or ``"none"`` --
-    and ``mode`` whether it was enforced (``"on"``) or merely reported
-    (``"proof-only"``).  ``source`` names the premise: ``"schema"`` for
-    an enforced schema, ``"summary"`` for the inferred structural
-    summary of a schemaless collection.  ``discharged`` lists the
-    predicates whose per-document verification the proof eliminated;
-    ``residual`` renders what still runs.  ``timed_out`` flags a prover
-    that hit its budget (the query fell through unoptimized), and
-    ``cached`` that the verdict came from the process-wide artifact
-    cache rather than a fresh proof.
+    (some conjuncts entailed, the rest still verified) or ``"none"``.
+    Every verdict is enforced, so ``mode`` always reads ``"on"`` (an
+    ``optimize="off"`` collection reports no section at all).
+    ``source`` names the premise: ``"schema"`` for an enforced schema,
+    ``"summary"`` for the inferred structural summary of a schemaless
+    collection.  ``discharged`` lists the predicates whose
+    per-document verification the proof eliminated; ``residual``
+    renders what still runs.  ``timed_out`` flags a prover that hit
+    its budget (the query fell through unoptimized), and ``cached``
+    that the verdict came from the process-wide artifact cache rather
+    than a fresh proof.
     """
 
     mode: str
@@ -104,7 +105,7 @@ class SemanticsExplain:
 
     @property
     def enforced(self) -> bool:
-        return self.mode == "on" and self.verdict != "none"
+        return self.verdict != "none"
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -372,7 +372,7 @@ def _window_bound(stages: tuple[Stage, ...]) -> int | None:
     ``stages`` can consume, or ``None`` when unbounded.
 
     The composed window over input-stream indices: sound as a per-shard
-    truncation hint because the global first ``bound`` rows are always
+    truncation bound because the global first ``bound`` rows are always
     a subset of the union of each shard's local first ``bound`` rows.
     """
     start = 0
@@ -471,25 +471,14 @@ class CompiledPipeline:
     # ------------------------------------------------------------------
 
     def _scan(
-        self,
-        collection: Any,
-        *,
-        no_semantic: bool = False,
-        verdict: "str | None" = None,
+        self, collection: Any, *, verdict: "str | None" = None
     ) -> planner.Scan:
         """The leading match over a store collection: the planner's one
         candidate-and-verify loop (see :class:`~repro.query.planner.Scan`
         for ``verdict``)."""
-        return planner.Scan(
-            collection,
-            self.lead_query,
-            no_semantic=no_semantic,
-            verdict=verdict,
-        )
+        return planner.Scan(collection, self.lead_query, verdict=verdict)
 
-    def _rows(
-        self, source: Any, no_semantic: bool = False
-    ) -> tuple[Iterator[Any], tuple[Stage, ...]]:
+    def _rows(self, source: Any) -> tuple[Iterator[Any], tuple[Stage, ...]]:
         """The input rows and the stages to run over them.
 
         A store collection feeds the leading match's survivors.  Bare
@@ -498,7 +487,7 @@ class CompiledPipeline:
         tests as every other path.
         """
         if hasattr(source, "documents") and hasattr(source, "indexes"):
-            scan = self._scan(source, no_semantic=no_semantic)
+            scan = self._scan(source)
             return (value for _, value in scan), self.stages
         rows = (
             item.to_value() if isinstance(item, JSONTree) else item
@@ -509,43 +498,36 @@ class CompiledPipeline:
         return rows, (FilterStage(self.lead_query.matches),) + self.stages
 
     def _scatter_payload(
-        self, source: Any, no_semantic: bool
-    ) -> "dict[str, Any] | None":
-        """The scatter envelope, with the coordinator's verdict attached.
+        self, source: Any
+    ) -> "tuple[optimizer.SemanticDecision | None, dict[str, Any]]":
+        """The coordinator's decision and the scatter envelope.
 
         The coordinator proves once (against the fleet-wide schema, when
         there is one) and the shards inherit: ``"semantic"`` carries an
-        enforced ``"empty"``/``"all"`` verdict, ``None`` to let each
-        shard consult its own summary, or ``"off"`` to disable the
-        pass shard-side too.  Returns ``None`` when the coordinator's
-        ``"empty"`` verdict makes scattering itself unnecessary.
+        enforced ``"empty"``/``"all"`` verdict, or ``None`` to let each
+        shard consult its own summary (an ``optimize="off"`` shard has
+        none).
         """
-        if no_semantic:
-            return {"pipeline": self.pipeline, "semantic": "off"}
         decision = optimizer.semantic_plan(source, self.lead_query)
-        kind = optimizer.effective_kind(decision)
-        if kind == "empty":
-            return None
-        semantic = kind if kind == "all" else None
-        return {"pipeline": self.pipeline, "semantic": semantic}
+        kind = "none" if decision is None else decision.verdict.kind
+        semantic = kind if kind in ("empty", "all") else None
+        return decision, {"pipeline": self.pipeline, "semantic": semantic}
 
-    def execute(self, source: Any, *, no_semantic: bool = False) -> list[Any]:
+    def execute(self, source: Any) -> list[Any]:
         """Run the pipeline over a collection (index-pruned), a sharded
         collection (scatter-gather) or an iterable of trees/values
         (streamed), returning the result rows."""
         scatter = getattr(source, "scatter_partial_aggregate", None)
         if scatter is not None:
-            payload = self._scatter_payload(source, no_semantic)
-            if payload is None:  # coordinator proved "empty": no scatter
+            _, payload = self._scatter_payload(source)
+            if payload["semantic"] == "empty":  # proved: no scatter
                 return self.merge_partials([])
             return self.merge_partials(scatter(payload))
-        return list(self.stream(source, no_semantic=no_semantic))
+        return list(self.stream(source))
 
-    def stream(
-        self, source: Any, *, no_semantic: bool = False
-    ) -> Iterator[Any]:
+    def stream(self, source: Any) -> Iterator[Any]:
         """Lazy variant of :meth:`execute` (one generator per stage)."""
-        rows, stages = self._rows(source, no_semantic)
+        rows, stages = self._rows(source)
         return run_stages(stages, rows)
 
     # ------------------------------------------------------------------
@@ -565,9 +547,8 @@ class CompiledPipeline:
         process boundary to :meth:`merge_partials` unchanged.
 
         ``verdict`` is the coordinator's inherited semantic verdict
-        (``"empty"``/``"all"``: enforce without re-proving; ``"off"``:
-        skip the semantic pass; ``None``: decide locally against this
-        shard's own context).
+        (``"empty"``/``"all"``: enforce without re-proving; ``None``:
+        decide locally against this shard's own context).
         """
         scan = self._scan(collection, verdict=verdict)
         if scan.kind in ("empty", "all"):
@@ -638,32 +619,18 @@ class CompiledPipeline:
             rest = self.stages[split:]
         return list(run_stages(rest, rows))
 
-    def explain(
-        self, collection: Any, *, no_semantic: bool = False
-    ) -> Explain:
+    def explain(self, collection: Any) -> Explain:
         """Run over an indexed collection, reporting what was pruned
         by indexes versus streamed (the find explain's aggregation
         sibling), including the semantic optimizer's verdict."""
         scatter = getattr(collection, "scatter_partial_aggregate", None)
         if scatter is not None:
-            decision = optimizer.semantic_plan(
-                collection, self.lead_query, no_semantic=no_semantic
-            )
-            kind = optimizer.effective_kind(decision)
-            if no_semantic:
-                semantic = "off"
-            elif kind in ("empty", "all"):
-                semantic = kind
-            else:
-                semantic = None
-            partials = scatter(
-                {"pipeline": self.pipeline, "semantic": semantic}
-            )
+            decision, payload = self._scatter_payload(collection)
             return self._explain_sharded(
-                partials,
+                scatter(payload),
                 None if decision is None else decision.semantics_explain(),
             )
-        scan = self._scan(collection, no_semantic=no_semantic)
+        scan = self._scan(collection)
         survivors = (value for _, value in scan)
         results = sum(1 for _ in run_stages(self.stages, survivors))
         # An early-exiting stage ($limit) stops pulling; finish the
@@ -788,13 +755,9 @@ def aggregate(source: Any, pipeline: list[Any]) -> list[Any]:
     return compile_pipeline(pipeline).execute(source)
 
 
-def explain_pipeline(
-    collection: Any, pipeline: list[Any], *, no_semantic: bool = False
-) -> Explain:
+def explain_pipeline(collection: Any, pipeline: list[Any]) -> Explain:
     """The staged executor's report for ``pipeline`` over ``collection``."""
-    return compile_pipeline(pipeline).explain(
-        collection, no_semantic=no_semantic
-    )
+    return compile_pipeline(pipeline).explain(collection)
 
 
 def partial_aggregate(

@@ -254,7 +254,6 @@ def _select_targets(
     filter_doc: Any,
     *,
     first_only: bool = False,
-    no_semantic: bool = False,
 ) -> tuple[list[tuple[int, Any]], planner.Scan]:
     """Matching ``(id, value)`` pairs and the scan that found them.
 
@@ -263,12 +262,7 @@ def _select_targets(
     :meth:`Collection.apply_update`, so no document is materialised
     twice per call.
     """
-    scan = planner.Scan(
-        collection,
-        compile_mongo_find(filter_doc),
-        no_semantic=no_semantic,
-        peek=True,
-    )
+    scan = planner.Scan(collection, compile_mongo_find(filter_doc), peek=True)
     return list(islice(scan, 1 if first_only else None)), scan
 
 
@@ -441,7 +435,6 @@ def explain_update(
     update_doc: Any,
     *,
     first_only: bool = False,
-    no_semantic: bool = False,
 ) -> Explain:
     """Dry-run an update: target pruning plus the index delta it would
     apply.  Mirrors the find explain on the read side; nothing in the
@@ -449,7 +442,7 @@ def explain_update(
     ``update_one`` instead of ``update_many``."""
     compiled = compile_update(update_doc)
     matched, scan = _select_targets(
-        collection, filter_doc, first_only=first_only, no_semantic=no_semantic
+        collection, filter_doc, first_only=first_only
     )
     ops = DeltaOps()
     modified = 0

@@ -67,7 +67,6 @@ __all__ = [
     "SemanticVerdict",
     "SemanticDecision",
     "semantic_plan",
-    "effective_kind",
     "describe_formula",
     "check_optimize_mode",
     "count_verify",
@@ -75,7 +74,7 @@ __all__ = [
     "verify_calls",
 ]
 
-OPTIMIZE_MODES = ("on", "off", "proof-only")
+OPTIMIZE_MODES = ("on", "off")
 
 
 def check_optimize_mode(mode: str) -> str:
@@ -161,11 +160,10 @@ class SemanticContext:
     (and every document a snapshot of the collection can pin);
     ``source`` names where it came from (``"schema"``/``"summary"``);
     ``fingerprint`` is a hashable identity that changes whenever the
-    premise does -- the verdict-cache key component.  ``mode`` is the
-    collection's ``optimize`` knob (``"off"`` never builds a context).
+    premise does -- the verdict-cache key component.  A collection
+    with ``optimize="off"`` never builds a context.
     """
 
-    mode: str
     source: str
     fingerprint: tuple
     formula: Any
@@ -186,28 +184,19 @@ class SemanticVerdict:
 
 @dataclass(frozen=True)
 class SemanticDecision:
-    """A verdict plus how this collection applies it.
-
-    ``mode="on"`` enforces the verdict (execution short-circuits);
-    ``mode="proof-only"`` reports it in explain output while execution
-    stays byte-identical to ``optimize="off"``.
+    """A verdict for one query over one collection, always enforced:
+    execution acts on ``verdict.kind``.  ``cached`` says whether the
+    verdict came from the artifact cache rather than a fresh proof.
     """
 
     verdict: SemanticVerdict
-    mode: str
     cached: bool
-
-    @property
-    def effective(self) -> str:
-        """The verdict kind execution may act on (``"none"`` unless
-        the collection's mode enforces verdicts)."""
-        return self.verdict.kind if self.mode == "on" else "none"
 
     def semantics_explain(self):
         from repro.explain import SemanticsExplain
 
         return SemanticsExplain(
-            mode=self.mode,
+            mode="on",
             verdict=self.verdict.kind,
             source=self.verdict.source,
             discharged=self.verdict.discharged,
@@ -216,11 +205,6 @@ class SemanticDecision:
             timed_out=self.verdict.timed_out,
             cached=self.cached,
         )
-
-
-def effective_kind(decision: SemanticDecision | None) -> str:
-    """The enforceable verdict kind of a possibly-absent decision."""
-    return "none" if decision is None else decision.effective
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +406,6 @@ def semantic_plan(
     collection: Any,
     query: CompiledQuery | None,
     *,
-    no_semantic: bool = False,
     config: OptimizerConfig | None = None,
     cache: object = USE_DEFAULT_CACHE,
 ) -> SemanticDecision | None:
@@ -430,13 +413,12 @@ def semantic_plan(
 
     Returns ``None`` -- proceed exactly as before -- when the
     collection exposes no :class:`SemanticContext` (no schema/summary,
-    ``optimize="off"``, extended values, a duck-typed source), when the
-    per-query ``hint={"no_semantic": True}`` escape hatch is set, or
-    when the payload is not a filter formula.  Verdicts are memoised on
+    ``optimize="off"``, extended values, a duck-typed source) or when
+    the payload is not a filter formula.  Verdicts are memoised on
     ``(context fingerprint, dialect, source)`` in the process-wide
     artifact cache; ``cache=None`` forces a fresh proof.
     """
-    if no_semantic or query is None:
+    if query is None:
         return None
     context = getattr(collection, "semantic_context", None)
     if context is None:
@@ -469,6 +451,4 @@ def semantic_plan(
             astuple(config.solver),
         )
         verdict = resolved.get_or_compute(key, build)
-    return SemanticDecision(
-        verdict=verdict, mode=context.mode, cached=not computed
-    )
+    return SemanticDecision(verdict=verdict, cached=not computed)

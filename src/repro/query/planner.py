@@ -34,8 +34,9 @@ optimizer (:mod:`repro.query.optimizer`): an enforced ``"empty"``
 verdict answers without touching an index, ``"all"`` streams every
 live document verify-free, and ``"residual"`` verifies only the
 conjuncts the schema could not discharge.  Collections opt in by
-exposing a ``semantic_context``; everything else (and every
-``no_semantic=True`` call) takes the classic prune-and-verify path.
+exposing a ``semantic_context`` (an ``optimize="off"`` collection
+exposes ``None``); everything else takes the classic prune-and-verify
+path.
 
 The module is deliberately ignorant of :mod:`repro.store` internals:
 anything with ``indexes``/``documents()``/``get()`` duck-types as a
@@ -182,9 +183,9 @@ class Scan:
 
     ``query=None`` keeps every document (a pipeline without a leading
     ``$match``).  ``verdict`` replaces the local proof with an inherited
-    one (a shard taking its coordinator's ``"empty"``/``"all"``, or
-    ``"off"``).  ``peek`` reads pending update values without forcing
-    a rebuild; they must stay unmodified (update target selection).
+    one (a shard taking its coordinator's ``"empty"``/``"all"``).
+    ``peek`` reads pending update values without forcing a rebuild;
+    they must stay unmodified (update target selection).
     """
 
     __slots__ = ("collection", "query", "decision", "kind", "total",
@@ -195,18 +196,15 @@ class Scan:
         collection: "Collection",
         query: CompiledQuery | None,
         *,
-        no_semantic: bool = False,
         verdict: str | None = None,
         peek: bool = False,
     ) -> None:
+        decision = None
         if verdict is None:
-            self.decision = optimizer.semantic_plan(
-                collection, query, no_semantic=no_semantic
-            )
-            self.kind = optimizer.effective_kind(self.decision)
-        else:
-            self.decision = None
-            self.kind = "none" if verdict == "off" else verdict
+            decision = optimizer.semantic_plan(collection, query)
+            verdict = "none" if decision is None else decision.verdict.kind
+        self.decision = decision
+        self.kind = verdict
         self.collection = collection
         self.query = query
         self.total = len(collection)
@@ -272,62 +270,38 @@ def _row(query: CompiledQuery, document: Any) -> JSONValue:
     return query.projection.apply_value(value) if query.projection else value
 
 
-def match_ids(
-    collection: "Collection",
-    query: CompiledQuery,
-    *,
-    no_semantic: bool = False,
-) -> list[int]:
+def match_ids(collection: "Collection", query: CompiledQuery) -> list[int]:
     """Ids of the documents the query matches (root match / non-empty
     selection), in document-id order."""
-    return [doc_id for doc_id, _ in Scan(collection, query, no_semantic=no_semantic)]
+    return [doc_id for doc_id, _ in Scan(collection, query)]
 
 
-def match_flags(
-    collection: "Collection",
-    query: CompiledQuery,
-    *,
-    no_semantic: bool = False,
-) -> list[bool]:
+def match_flags(collection: "Collection", query: CompiledQuery) -> list[bool]:
     """One verdict per live document, aligned with ``documents()`` order.
 
     Pruned documents are reported ``False`` without being evaluated --
     the planner's equivalent of :func:`repro.query.batch.match_many`.
     """
-    matched = set(match_ids(collection, query, no_semantic=no_semantic))
+    matched = set(match_ids(collection, query))
     return [doc_id in matched for doc_id, _ in collection.documents()]
 
 
-def count_matches(
-    collection: "Collection",
-    query: CompiledQuery,
-    *,
-    no_semantic: bool = False,
-) -> int:
-    scan = Scan(collection, query, no_semantic=no_semantic)
+def count_matches(collection: "Collection", query: CompiledQuery) -> int:
+    scan = Scan(collection, query)
     if scan.kind == "all":
         return scan.total
     return sum(1 for _ in scan)
 
 
 def find_documents(
-    collection: "Collection",
-    query: CompiledQuery,
-    *,
-    no_semantic: bool = False,
+    collection: "Collection", query: CompiledQuery
 ) -> list[JSONValue]:
     """Mongo ``find`` over a collection: (projected) matching documents."""
-    return [
-        _row(query, document)
-        for _, document in Scan(collection, query, no_semantic=no_semantic)
-    ]
+    return [_row(query, document) for _, document in Scan(collection, query)]
 
 
 def find_rows(
-    collection: "Collection",
-    query: CompiledQuery,
-    *,
-    no_semantic: bool = False,
+    collection: "Collection", query: CompiledQuery
 ) -> list[tuple[int, JSONValue]]:
     """``(doc_id, projected value)`` pairs for the matching documents.
 
@@ -338,21 +312,15 @@ def find_rows(
     """
     return [
         (doc_id, _row(query, document))
-        for doc_id, document in Scan(collection, query, no_semantic=no_semantic)
+        for doc_id, document in Scan(collection, query)
     ]
 
 
 def find_trees(
-    collection: "Collection",
-    query: CompiledQuery,
-    *,
-    no_semantic: bool = False,
+    collection: "Collection", query: CompiledQuery
 ) -> list[JSONTree]:
     """The matching documents as trees (no projection applied)."""
-    return [
-        collection.get(doc_id)
-        for doc_id, _ in Scan(collection, query, no_semantic=no_semantic)
-    ]
+    return [collection.get(doc_id) for doc_id, _ in Scan(collection, query)]
 
 
 def select_nodes(
@@ -397,14 +365,9 @@ def select_values(
     return rows
 
 
-def explain(
-    collection: "Collection",
-    query: CompiledQuery,
-    *,
-    no_semantic: bool = False,
-) -> Explain:
+def explain(collection: "Collection", query: CompiledQuery) -> Explain:
     """Run the match pipeline, reporting pruning effectiveness."""
-    scan = Scan(collection, query, no_semantic=no_semantic)
+    scan = Scan(collection, query)
     matched = scan.total if scan.kind == "all" else sum(1 for _ in scan)
     return Explain(
         kind="find",

@@ -292,23 +292,15 @@ class ReproServer:
 
     def _execute_read(self, op: str, message: dict[str, Any]) -> Any:
         snapshot = self._snapshot(message)
-        hint = message.get("hint")
-        if hint is not None and not isinstance(hint, dict):
-            raise WireProtocolError("hint must be a JSON object")
         if op == "find":
             return snapshot.find(
                 _require_dict(message, "filter", default={}),
                 message.get("projection"),
-                hint=hint,
             )
         if op == "count":
-            return snapshot.count(
-                _require_dict(message, "filter", default={}), hint=hint
-            )
+            return snapshot.count(_require_dict(message, "filter", default={}))
         if op == "aggregate":
-            return snapshot.aggregate(
-                _require_list(message, "pipeline"), hint=hint
-            )
+            return snapshot.aggregate(_require_list(message, "pipeline"))
         if op == "select":
             dialect = message.get("dialect", "jsonpath")
             if not isinstance(dialect, str):
@@ -330,7 +322,7 @@ class ReproServer:
         if op == "explain":
             if "pipeline" in message:
                 report = snapshot.explain_aggregate(
-                    _require_list(message, "pipeline"), hint=hint
+                    _require_list(message, "pipeline")
                 )
             elif "update" in message:
                 # A dry run only reads; it answers from the live
@@ -339,11 +331,10 @@ class ReproServer:
                     _require_dict(message, "filter", default={}),
                     _require_dict(message, "update"),
                     first_only=bool(message.get("first_only")),
-                    hint=hint,
                 )
             else:
                 report = snapshot.explain(
-                    _require_dict(message, "filter", default={}), hint=hint
+                    _require_dict(message, "filter", default={})
                 )
             return report.to_json()
         raise WireProtocolError(f"unhandled read operation {op!r}")

@@ -77,11 +77,6 @@ def _compile_schema(schema: Any):
     return compile_schema_validator(document), document, canonical
 
 
-def _no_semantic(hint: "dict[str, Any] | None") -> bool:
-    """Whether a per-query ``hint`` opts out of semantic optimization."""
-    return bool(hint) and bool(hint.get("no_semantic"))
-
-
 class Collection:
     """A queryable, indexed, optionally schema-enforced document set.
 
@@ -368,7 +363,7 @@ class Collection:
 
     @property
     def optimize(self) -> str:
-        """The semantic-optimizer knob (``on``/``off``/``proof-only``)."""
+        """The semantic-optimizer knob (``on``/``off``)."""
         return self._optimize
 
     @property
@@ -401,7 +396,6 @@ class Collection:
             if formula is False:
                 return None
             return SemanticContext(
-                mode=self._optimize,
                 source="schema",
                 fingerprint=("schema", self._schema_source),
                 formula=formula,
@@ -420,7 +414,6 @@ class Collection:
         if summary.disabled:
             return None
         return SemanticContext(
-            mode=self._optimize,
             source="summary",
             fingerprint=summary.fingerprint,
             formula=summary.formula(),
@@ -634,7 +627,6 @@ class Collection:
         update_doc: dict[str, Any],
         *,
         first_only: bool = False,
-        hint: dict[str, Any] | None = None,
     ):
         """Dry-run report for :meth:`update_many` (or, with
         ``first_only``, :meth:`update_one`): pruned-vs-scanned targets
@@ -644,11 +636,7 @@ class Collection:
         from repro.mongo.update import explain_update
 
         return explain_update(
-            self,
-            filter_doc,
-            update_doc,
-            first_only=first_only,
-            no_semantic=_no_semantic(hint),
+            self, filter_doc, update_doc, first_only=first_only
         )
 
     # ------------------------------------------------------------------
@@ -659,53 +647,23 @@ class Collection:
         self,
         filter_doc: dict[str, Any],
         projection: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
     ) -> list[JSONValue]:
-        """MongoDB's ``db.collection.find(filter, projection)``.
-
-        ``hint={"no_semantic": True}`` skips the semantic optimizer for
-        this one query (every read method accepts it).
-        """
+        """MongoDB's ``db.collection.find(filter, projection)``."""
         return planner.find_documents(
-            self,
-            compile_mongo_find(filter_doc, projection),
-            no_semantic=_no_semantic(hint),
+            self, compile_mongo_find(filter_doc, projection)
         )
 
-    def find_trees(
-        self,
-        filter_doc: dict[str, Any],
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> list[JSONTree]:
-        return planner.find_trees(
-            self, compile_mongo_find(filter_doc), no_semantic=_no_semantic(hint)
-        )
+    def find_trees(self, filter_doc: dict[str, Any]) -> list[JSONTree]:
+        return planner.find_trees(self, compile_mongo_find(filter_doc))
 
-    def count(
-        self,
-        filter_doc: dict[str, Any],
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> int:
-        return planner.count_matches(
-            self, compile_mongo_find(filter_doc), no_semantic=_no_semantic(hint)
-        )
+    def count(self, filter_doc: dict[str, Any]) -> int:
+        return planner.count_matches(self, compile_mongo_find(filter_doc))
 
     def match_ids(
-        self,
-        query: "CompiledQuery | str",
-        dialect: str = "jnl",
-        *,
-        hint: dict[str, Any] | None = None,
+        self, query: "CompiledQuery | str", dialect: str = "jnl"
     ) -> list[int]:
         """Ids of documents matched by a compiled or textual query."""
-        return planner.match_ids(
-            self,
-            self._as_query(query, dialect),
-            no_semantic=_no_semantic(hint),
-        )
+        return planner.match_ids(self, self._as_query(query, dialect))
 
     def select(
         self, query: "CompiledQuery | str", dialect: str = "jsonpath"
@@ -714,26 +672,14 @@ class Collection:
         return planner.select_values(self, self._as_query(query, dialect))
 
     def explain(
-        self,
-        query: "CompiledQuery | str | dict",
-        dialect: str = "jsonpath",
-        *,
-        hint: dict[str, Any] | None = None,
+        self, query: "CompiledQuery | str | dict", dialect: str = "jsonpath"
     ) -> Explain:
         """Pruning report for a query (dicts compile as Mongo filters)."""
         if isinstance(query, dict):
-            return planner.explain(
-                self, compile_mongo_find(query), no_semantic=_no_semantic(hint)
-            )
-        return planner.explain(
-            self,
-            self._as_query(query, dialect),
-            no_semantic=_no_semantic(hint),
-        )
+            return planner.explain(self, compile_mongo_find(query))
+        return planner.explain(self, self._as_query(query, dialect))
 
-    def aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ) -> list[JSONValue]:
+    def aggregate(self, pipeline: list) -> list[JSONValue]:
         """MongoDB's ``db.collection.aggregate(pipeline)``.
 
         The pipeline compiles once (cached process-wide); its leading
@@ -744,21 +690,15 @@ class Collection:
         # Lazy import: the Mongo front-end builds on the store.
         from repro.mongo.aggregate import compile_pipeline
 
-        return compile_pipeline(pipeline).execute(
-            self, no_semantic=_no_semantic(hint)
-        )
+        return compile_pipeline(pipeline).execute(self)
 
-    def explain_aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ):
+    def explain_aggregate(self, pipeline: list):
         """Stage-by-stage report (index-pruned vs streamed) for
         :meth:`aggregate` -- an :class:`~repro.explain.Explain` of
         ``kind="aggregate"``."""
         from repro.mongo.aggregate import compile_pipeline
 
-        return compile_pipeline(pipeline).explain(
-            self, no_semantic=_no_semantic(hint)
-        )
+        return compile_pipeline(pipeline).explain(self)
 
     @staticmethod
     def _as_query(query: "CompiledQuery | str", dialect: str) -> CompiledQuery:

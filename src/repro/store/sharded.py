@@ -63,7 +63,7 @@ from repro.model.tree import JSONTree, JSONValue
 from repro.query import optimizer, planner
 from repro.query.compiled import compile_mongo_find
 from repro.query.optimizer import SemanticContext, check_optimize_mode
-from repro.store.collection import Collection, _compile_schema, _no_semantic
+from repro.store.collection import Collection, _compile_schema
 from repro.store.durable import DurableEngine
 from repro.store.engine import EngineHealth, MemoryEngine
 
@@ -133,32 +133,19 @@ def _op_values(collection: Collection, payload: Any) -> list:
 
 def _op_find(collection: Collection, payload: Any) -> list:
     query = compile_mongo_find(payload["filter"], payload["projection"])
-    return planner.find_rows(
-        collection, query, no_semantic=payload.get("no_semantic", False)
-    )
+    return planner.find_rows(collection, query)
 
 
 def _op_count(collection: Collection, payload: Any) -> int:
-    return planner.count_matches(
-        collection,
-        compile_mongo_find(payload["filter"]),
-        no_semantic=payload.get("no_semantic", False),
-    )
+    return planner.count_matches(collection, compile_mongo_find(payload))
 
 
 def _op_match_ids(collection: Collection, payload: Any) -> list[int]:
-    return planner.match_ids(
-        collection,
-        compile_mongo_find(payload["filter"]),
-        no_semantic=payload.get("no_semantic", False),
-    )
+    return planner.match_ids(collection, compile_mongo_find(payload))
 
 
 def _op_explain(collection: Collection, payload: Any):
-    hint = (
-        {"no_semantic": True} if payload.get("no_semantic") else None
-    )
-    return collection.explain(payload["filter"], hint=hint)
+    return collection.explain(payload)
 
 
 def _op_agg_partial(collection: Collection, payload: Any) -> dict[str, Any]:
@@ -193,14 +180,8 @@ def _op_replace_one(collection: Collection, payload: Any) -> tuple[int, int]:
 
 
 def _op_explain_update(collection: Collection, payload: Any):
-    hint = (
-        {"no_semantic": True} if payload.get("no_semantic") else None
-    )
     return collection.explain_update(
-        payload["filter"],
-        payload["update"],
-        first_only=payload["first_only"],
-        hint=hint,
+        payload["filter"], payload["update"], first_only=payload["first_only"]
     )
 
 
@@ -320,6 +301,13 @@ class _WorkerHandle:
         self.conn = parent_conn
         self.receive()  # the ready handshake (raises on recovery failure)
 
+    def check_alive(self) -> None:
+        """Raise the typed dead-worker error if the process has exited."""
+        if not self.process.is_alive():
+            raise StoreError(
+                "shard worker died (process exited before the request)"
+            )
+
     def send(self, op: str, payload: Any) -> None:
         try:
             self.conn.send((op, payload))
@@ -350,6 +338,11 @@ class _WorkerHandle:
             self.process.terminate()
             self.process.join(timeout=5)
         self.conn.close()
+
+
+_DEAD_WORKER = EngineHealth(
+    ok=False, degraded=True, reason="shard worker died"
+)
 
 
 def _resolve_context(start_method: str | None) -> Any:
@@ -505,6 +498,7 @@ class ShardedEngine:
         """Run one op on one shard, returning its result."""
         if self._workers is not None:
             worker = self._workers[index]
+            worker.check_alive()
             worker.send(op, payload)
             return worker.receive()
         return _WORKER_OPS[op](self._shards[index], payload)
@@ -514,9 +508,11 @@ class ShardedEngine:
 
         Parallel mode sends every request before receiving any reply,
         so the shards execute concurrently; errors re-raise after all
-        replies drain, keeping the pipes in lock-step.  A send that
-        fails (a dead worker) stops the fan-out: the workers already
-        sent to are drained, then its error is raised.
+        replies drain, keeping the pipes in lock-step.  Every worker is
+        checked alive before the first send, so a known-dead worker
+        fails the op before any shard applies it.  A send that still
+        fails (a worker dying mid-fan-out) stops the fan-out: the
+        workers already sent to are drained, then its error is raised.
         """
         if len(payloads) != self._shard_count:
             raise StoreError(
@@ -528,6 +524,8 @@ class ShardedEngine:
                 _WORKER_OPS[op](shard, payload)
                 for shard, payload in zip(self._shards, payloads)
             ]
+        for worker in self._workers:
+            worker.check_alive()
         sent: list[_WorkerHandle] = []
         first_error: BaseException | None = None
         for worker, payload in zip(self._workers, payloads):
@@ -558,7 +556,16 @@ class ShardedEngine:
     # ------------------------------------------------------------------
 
     def health(self) -> list[EngineHealth]:
-        return self.broadcast("health")
+        """Per-shard health; a dead worker reports degraded, not raises."""
+        if self._workers is None:
+            return self.broadcast("health")
+        reports = []
+        for index in range(self._shard_count):
+            try:
+                reports.append(self.request(index, "health", None))
+            except StoreError:
+                reports.append(_DEAD_WORKER)
+        return reports
 
     def checkpoint(self) -> list[Any]:
         """Checkpoint every shard (per-shard CompactionReports)."""
@@ -740,7 +747,7 @@ class ShardedCollection:
 
     @property
     def optimize(self) -> str:
-        """The semantic-optimizer knob (``on``/``off``/``proof-only``)."""
+        """The semantic-optimizer knob (``on``/``off``)."""
         return self._optimize
 
     @property
@@ -771,7 +778,6 @@ class ShardedCollection:
         if formula is False:
             return None
         return SemanticContext(
-            mode=self._optimize,
             source="schema",
             fingerprint=("schema", self._schema_source),
             formula=formula,
@@ -779,42 +785,32 @@ class ShardedCollection:
 
     @property
     def health(self) -> list[EngineHealth]:
-        """Per-shard engine health (a degraded shard rejects writes)."""
+        """Per-shard engine health (a degraded shard rejects writes; a
+        dead worker's shard reports ``reason="shard worker died"``)."""
         return self._engine.health()
 
     # ------------------------------------------------------------------
     # Querying (scatter the planner, merge by global doc-id).
     # ------------------------------------------------------------------
 
-    def _read_decision(
-        self, filter_doc: dict[str, Any], no_semantic: bool
-    ) -> "optimizer.SemanticDecision | None":
-        """The coordinator's one-proof verdict for a scatter read (an
-        invalid filter raises here, before any shard is asked)."""
-        return optimizer.semantic_plan(
-            self, compile_mongo_find(filter_doc), no_semantic=no_semantic
-        )
+    def _read_verdict(self, filter_doc: dict[str, Any]) -> str:
+        """The coordinator's one-proof verdict kind for a scatter read
+        (an invalid filter raises here, before any shard is asked)."""
+        query = compile_mongo_find(filter_doc)
+        decision = optimizer.semantic_plan(self, query)
+        return "none" if decision is None else decision.verdict.kind
 
     def find_rows(
         self,
         filter_doc: dict[str, Any],
         projection: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
     ) -> list[tuple[int, JSONValue]]:
         """``(doc_id, projected value)`` pairs across all shards, in
         global id order (ids are unique, so the merge is total)."""
-        no_semantic = _no_semantic(hint)
-        decision = self._read_decision(filter_doc, no_semantic)
-        if optimizer.effective_kind(decision) == "empty":
+        if self._read_verdict(filter_doc) == "empty":
             return []  # the schema refutes the filter: no scatter at all
         runs = self._engine.broadcast(
-            "find",
-            {
-                "filter": filter_doc,
-                "projection": projection,
-                "no_semantic": no_semantic,
-            },
+            "find", {"filter": filter_doc, "projection": projection}
         )
         return list(heapq.merge(*runs))
 
@@ -822,94 +818,50 @@ class ShardedCollection:
         self,
         filter_doc: dict[str, Any],
         projection: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
     ) -> list[JSONValue]:
         """MongoDB's ``find``, scatter-gathered: identical rows and
         order to the single-collection planner path."""
-        return [
-            value
-            for _, value in self.find_rows(filter_doc, projection, hint=hint)
-        ]
+        return [value for _, value in self.find_rows(filter_doc, projection)]
 
-    def count(
-        self,
-        filter_doc: dict[str, Any],
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> int:
-        no_semantic = _no_semantic(hint)
-        decision = self._read_decision(filter_doc, no_semantic)
-        kind = optimizer.effective_kind(decision)
+    def count(self, filter_doc: dict[str, Any]) -> int:
+        kind = self._read_verdict(filter_doc)
         if kind == "empty":
             return 0
         if kind == "all":
             return len(self)  # one cheap meta scatter, no query work
-        return sum(
-            self._engine.broadcast(
-                "count", {"filter": filter_doc, "no_semantic": no_semantic}
-            )
-        )
+        return sum(self._engine.broadcast("count", filter_doc))
 
-    def match_ids(
-        self,
-        filter_doc: dict[str, Any],
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> list[int]:
+    def match_ids(self, filter_doc: dict[str, Any]) -> list[int]:
         """Ids matching a Mongo find filter, in global id order."""
-        no_semantic = _no_semantic(hint)
-        decision = self._read_decision(filter_doc, no_semantic)
-        if optimizer.effective_kind(decision) == "empty":
+        if self._read_verdict(filter_doc) == "empty":
             return []
         return list(
-            heapq.merge(
-                *self._engine.broadcast(
-                    "match_ids",
-                    {"filter": filter_doc, "no_semantic": no_semantic},
-                )
-            )
+            heapq.merge(*self._engine.broadcast("match_ids", filter_doc))
         )
 
-    def explain(
-        self,
-        filter_doc: dict[str, Any],
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> list:
+    def explain(self, filter_doc: dict[str, Any]) -> list:
         """Per-shard find explains (one ``Explain`` each, tagged with
         its shard index)."""
-        reports = self._engine.broadcast(
-            "explain",
-            {"filter": filter_doc, "no_semantic": _no_semantic(hint)},
-        )
+        reports = self._engine.broadcast("explain", filter_doc)
         return [
             replace(report, shard=index)
             for index, report in enumerate(reports)
         ]
 
-    def aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ) -> list[JSONValue]:
+    def aggregate(self, pipeline: list) -> list[JSONValue]:
         """MongoDB's ``aggregate``, scatter-gathered: map-side partial
         stages per shard, merge-finalize at the coordinator."""
         from repro.mongo.aggregate import compile_pipeline
 
-        return compile_pipeline(pipeline).execute(
-            self, no_semantic=_no_semantic(hint)
-        )
+        return compile_pipeline(pipeline).execute(self)
 
-    def explain_aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ):
+    def explain_aggregate(self, pipeline: list):
         """The fleet-wide aggregation :class:`~repro.explain.Explain`,
         including per-shard pruning stats and the coordinator's
         semantic verdict."""
         from repro.mongo.aggregate import compile_pipeline
 
-        return compile_pipeline(pipeline).explain(
-            self, no_semantic=_no_semantic(hint)
-        )
+        return compile_pipeline(pipeline).explain(self)
 
     def scatter_partial_aggregate(self, payload: "list | dict") -> list[dict]:
         """Fan a pipeline's map-side share out to every shard.
@@ -1031,19 +983,15 @@ class ShardedCollection:
         update_doc: dict[str, Any],
         *,
         first_only: bool = False,
-        hint: dict[str, Any] | None = None,
     ) -> list:
         """Per-shard dry-run reports (one update ``Explain`` each,
         tagged with its shard index)."""
-        reports = self._engine.broadcast(
-            "explain_update",
-            {
-                "filter": filter_doc,
-                "update": update_doc,
-                "first_only": first_only,
-                "no_semantic": _no_semantic(hint),
-            },
-        )
+        payload = {
+            "filter": filter_doc,
+            "update": update_doc,
+            "first_only": first_only,
+        }
+        reports = self._engine.broadcast("explain_update", payload)
         return [
             replace(report, shard=index)
             for index, report in enumerate(reports)

@@ -22,7 +22,9 @@ Query routing is generation-aware:
 Snapshots implement the read half of the uniform collection protocol
 (``find``/``count``/``aggregate``/``select``/``explain``/``get``/
 ``documents``), so the planner and every compiled front-end run on
-them unchanged.  They hold no engine and accept no writes.
+them unchanged.  They hold no engine and accept no writes, and they
+optimize exactly as their source does: the source's semantic context
+(``None`` under ``optimize="off"``) is captured at pin time.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.errors import StoreError
 from repro.model.tree import JSONTree, JSONValue
 from repro.query import planner
-from repro.store.collection import _no_semantic
 from repro.query.compiled import (
     CompiledQuery,
     compile_mongo_find,
@@ -162,47 +163,21 @@ class CollectionSnapshot:
         self,
         filter_doc: dict[str, Any],
         projection: dict[str, Any] | None = None,
-        *,
-        hint: dict[str, Any] | None = None,
     ) -> list[JSONValue]:
         return planner.find_documents(
-            self,
-            compile_mongo_find(filter_doc, projection),
-            no_semantic=_no_semantic(hint),
+            self, compile_mongo_find(filter_doc, projection)
         )
 
-    def find_trees(
-        self,
-        filter_doc: dict[str, Any],
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> list[JSONTree]:
-        return planner.find_trees(
-            self, compile_mongo_find(filter_doc), no_semantic=_no_semantic(hint)
-        )
+    def find_trees(self, filter_doc: dict[str, Any]) -> list[JSONTree]:
+        return planner.find_trees(self, compile_mongo_find(filter_doc))
 
-    def count(
-        self,
-        filter_doc: dict[str, Any],
-        *,
-        hint: dict[str, Any] | None = None,
-    ) -> int:
-        return planner.count_matches(
-            self, compile_mongo_find(filter_doc), no_semantic=_no_semantic(hint)
-        )
+    def count(self, filter_doc: dict[str, Any]) -> int:
+        return planner.count_matches(self, compile_mongo_find(filter_doc))
 
     def match_ids(
-        self,
-        query: "CompiledQuery | str",
-        dialect: str = "jnl",
-        *,
-        hint: dict[str, Any] | None = None,
+        self, query: "CompiledQuery | str", dialect: str = "jnl"
     ) -> list[int]:
-        return planner.match_ids(
-            self,
-            self._as_query(query, dialect),
-            no_semantic=_no_semantic(hint),
-        )
+        return planner.match_ids(self, self._as_query(query, dialect))
 
     def select(
         self, query: "CompiledQuery | str", dialect: str = "jsonpath"
@@ -210,39 +185,21 @@ class CollectionSnapshot:
         return planner.select_values(self, self._as_query(query, dialect))
 
     def explain(
-        self,
-        query: "CompiledQuery | str | dict",
-        dialect: str = "jsonpath",
-        *,
-        hint: dict[str, Any] | None = None,
+        self, query: "CompiledQuery | str | dict", dialect: str = "jsonpath"
     ):
         if isinstance(query, dict):
-            return planner.explain(
-                self, compile_mongo_find(query), no_semantic=_no_semantic(hint)
-            )
-        return planner.explain(
-            self,
-            self._as_query(query, dialect),
-            no_semantic=_no_semantic(hint),
-        )
+            return planner.explain(self, compile_mongo_find(query))
+        return planner.explain(self, self._as_query(query, dialect))
 
-    def aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ) -> list[JSONValue]:
+    def aggregate(self, pipeline: list) -> list[JSONValue]:
         from repro.mongo.aggregate import compile_pipeline
 
-        return compile_pipeline(pipeline).execute(
-            self, no_semantic=_no_semantic(hint)
-        )
+        return compile_pipeline(pipeline).execute(self)
 
-    def explain_aggregate(
-        self, pipeline: list, *, hint: dict[str, Any] | None = None
-    ):
+    def explain_aggregate(self, pipeline: list):
         from repro.mongo.aggregate import compile_pipeline
 
-        return compile_pipeline(pipeline).explain(
-            self, no_semantic=_no_semantic(hint)
-        )
+        return compile_pipeline(pipeline).explain(self)
 
     @staticmethod
     def _as_query(query: "CompiledQuery | str", dialect: str) -> CompiledQuery:

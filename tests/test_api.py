@@ -98,9 +98,24 @@ class TestConnect:
         finally:
             served.stop()
 
-    def test_tcp_rejects_local_only_options(self):
-        with pytest.raises(StoreError):
-            api.connect("tcp://localhost:1", shards=2)
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"shards": 2},
+            {"sync": "none"},
+            {"compact_threshold": 10},
+            {"parallel": False},
+            {"start_method": "spawn"},
+            {"optimize": "off"},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_tcp_rejects_local_only_options(self, option):
+        # Raised before any connection attempt: nothing listens on :1.
+        with pytest.raises(
+            StoreError, match="configure the server process instead"
+        ):
+            api.connect("tcp://localhost:1", **option)
 
     def test_sharded_rejects_fault_injection(self, tmp_path):
         from repro.store.faults import FaultyIO

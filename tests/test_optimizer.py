@@ -3,8 +3,8 @@
 Covers the verdict ladder (unsat => empty, implied => all, partial =>
 residual, unknown => none), the widen-only structural summary for
 schemaless collections, process-wide verdict caching keyed by schema
-fingerprint, the ``optimize=`` modes and the ``hint={"no_semantic":
-True}`` escape hatch, and the versioned Explain ``semantics`` section.
+fingerprint, the ``optimize="on"|"off"`` modes, and the versioned
+Explain ``semantics`` section.
 
 ``TestRandomisedDifferential`` pins the optimizer's first law -- it is
 invisible in results -- by racing ``optimize="on"`` against ``"off"``
@@ -62,31 +62,34 @@ class TestVerdicts:
     def people(self):
         return api.collection(age_docs(), schema=AGE_SCHEMA)
 
+    @pytest.fixture()
+    def reference(self):
+        return api.collection(age_docs(), schema=AGE_SCHEMA, optimize="off")
+
     def test_unsat_filter_proves_empty(self, people):
         decision = decision_for(people, {"age": {"$gt": 500}})
         assert decision.verdict.kind == "empty"
-        assert decision.effective == "empty"
         assert people.find({"age": {"$gt": 500}}) == []
         assert people.count({"age": {"$gt": 500}}) == 0
 
-    def test_implied_filter_proves_all(self, people):
+    def test_implied_filter_proves_all(self, people, reference):
         decision = decision_for(people, {"age": {"$gte": 0}})
         assert decision.verdict.kind == "all"
         assert decision.verdict.discharged
         assert people.count({"age": {"$gte": 0}}) == len(people)
-        assert people.find({"age": {"$gte": 0}}) == people.find(
-            {"age": {"$gte": 0}}, hint={"no_semantic": True}
+        assert people.find({"age": {"$gte": 0}}) == reference.find(
+            {"age": {"$gte": 0}}
         )
 
-    def test_partially_implied_filter_leaves_a_residual(self, people):
+    def test_partially_implied_filter_leaves_a_residual(
+        self, people, reference
+    ):
         filter_doc = {"age": {"$gte": 0}, "name": "p3"}
         decision = decision_for(people, filter_doc)
         assert decision.verdict.kind == "residual"
         assert decision.verdict.discharged  # the age conjunct
         assert decision.verdict.residual  # the name conjunct survives
-        assert people.find(filter_doc) == people.find(
-            filter_doc, hint={"no_semantic": True}
-        )
+        assert people.find(filter_doc) == reference.find(filter_doc)
 
     def test_unknown_filter_proves_nothing(self, people):
         decision = decision_for(people, {"hobby": "chess"})
@@ -210,18 +213,17 @@ class TestStructuralSummary:
     def test_mixed_kinds_stay_sound(self):
         docs = [{"v": 1}, {"v": "text"}, {"v": [1]}, {"v": {"k": 2}}]
         plain = api.collection(docs)
+        off = api.collection(docs, optimize="off")
         for filter_doc in ({"v": 1}, {"v": "text"}, {"v": {"$gt": 0}}):
-            assert plain.find(filter_doc) == plain.find(
-                filter_doc, hint={"no_semantic": True}
-            ), filter_doc
+            assert plain.find(filter_doc) == off.find(filter_doc), filter_doc
 
 
 # ---------------------------------------------------------------------------
-# Modes, hints, and the api knobs.
+# Modes and the api knobs.
 # ---------------------------------------------------------------------------
 
 
-class TestModesAndHints:
+class TestModes:
     def test_optimize_off_disables_the_premise(self):
         off = api.collection(age_docs(), schema=AGE_SCHEMA, optimize="off")
         assert off.semantic_context is None
@@ -229,45 +231,22 @@ class TestModesAndHints:
         assert report.semantics is None
         assert report.scanned > 0 or report.candidates == 0
 
-    def test_proof_only_reports_without_enforcing(self):
-        proof = api.collection(
-            age_docs(), schema=AGE_SCHEMA, optimize="proof-only"
-        )
-        report = proof.explain({"age": {"$gte": 0}})
-        assert report.semantics is not None
-        assert report.semantics.mode == "proof-only"
-        assert report.semantics.verdict == "all"
-        assert not report.semantics.enforced
-        # Enforcement is off: the classic path scanned every survivor.
-        assert report.scanned == len(proof)
-
-    def test_hint_escape_hatch(self):
-        people = api.collection(age_docs(), schema=AGE_SCHEMA)
-        report = people.explain(
-            {"age": {"$gt": 500}}, hint={"no_semantic": True}
-        )
-        assert report.semantics is None
-        assert people.count({"age": {"$gt": 500}}, hint={"no_semantic": True}) == 0
-
     def test_connect_validates_the_mode(self):
-        with pytest.raises(StoreError):
-            api.connect(optimize="sometimes")
-        with pytest.raises(StoreError):
-            api.collection([], optimize="sometimes")
+        assert optimizer.OPTIMIZE_MODES == ("on", "off")
+        for mode in ("sometimes", "proof-only"):
+            with pytest.raises(StoreError):
+                api.connect(optimize=mode)
+            with pytest.raises(StoreError):
+                api.collection([], optimize=mode)
 
     def test_database_threads_the_mode_through(self, tmp_path):
-        with api.connect(tmp_path / "db", optimize="proof-only") as db:
+        with api.connect(tmp_path / "db", optimize="off") as db:
             handle = db.collection(documents=age_docs(), schema=AGE_SCHEMA)
-            assert handle.optimize == "proof-only"
+            assert handle.optimize == "off"
+            assert handle.semantic_context is None
         with api.connect(tmp_path / "db2", optimize="on") as db:
             handle = db.collection(optimize="off", documents=[{"n": 1}])
             assert handle.optimize == "off"
-
-    def test_remote_rejects_proof_only(self):
-        from repro.client import RemoteCollection
-
-        with pytest.raises(StoreError):
-            RemoteCollection(None, "main", optimize="proof-only")
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +349,9 @@ class TestExplainSemantics:
         optimizer.reset_verify_calls()
         people.find({"age": {"$gte": 0}})  # proved "all": verify-free
         assert optimizer.verify_calls() == 0
-        people.find({"age": {"$gte": 0}}, hint={"no_semantic": True})
-        assert optimizer.verify_calls() == len(people)
+        off = api.collection(age_docs(), schema=AGE_SCHEMA, optimize="off")
+        off.find({"age": {"$gte": 0}})
+        assert optimizer.verify_calls() == len(off)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +466,14 @@ class TestRandomisedDifferential:
         schema, docs = _random_schema(rng)
         with api.connect(tmp_path / "db") as db:
             handle = db.collection(documents=docs, schema=schema)
+            off = db.collection(
+                "off", documents=docs, schema=schema, optimize="off"
+            )
             for _ in range(10 * _SCALE):
                 filter_doc = _random_filter(rng, schema)
-                assert handle.find(filter_doc) == handle.find(
-                    filter_doc, hint={"no_semantic": True}
-                ), filter_doc
+                assert handle.find(filter_doc) == off.find(filter_doc), (
+                    filter_doc
+                )
 
     def test_sharded_on_equals_off(self):
         rng = random.Random(99)
@@ -535,16 +518,12 @@ class TestRandomisedDifferential:
         try:
             from repro.client import connect
 
-            with connect(server.address) as on_client, connect(
-                server.address, optimize="off"
-            ) as off_client:
-                on = on_client.collection()
-                off = off_client.collection()
+            with connect(server.address) as client:
+                on = client.collection()
                 for _ in range(10 * _SCALE):
                     filter_doc = _random_filter(rng, schema)
                     expected = local.find(filter_doc)
                     assert on.find(filter_doc) == expected, filter_doc
-                    assert off.find(filter_doc) == expected, filter_doc
                     assert on.count(filter_doc) == len(expected)
                 report = on.explain({"a": {"$gt": 10_000}})
                 assert report.semantics is not None
@@ -562,6 +541,7 @@ class TestRandomisedDifferential:
         rng = random.Random(55)
         schema, docs = _random_schema(rng)
         people = api.collection(docs, schema=schema)
+        off = api.collection(docs, schema=schema, optimize="off")
         starved = optimizer.OptimizerConfig(budget_ms=0.0)
         for _ in range(10 * _SCALE):
             filter_doc = _random_filter(rng, schema)
@@ -570,8 +550,8 @@ class TestRandomisedDifferential:
             if decision is not None and decision.verdict.timed_out:
                 assert decision.verdict.kind == "none"
             # Whatever the verdict, execution stays exact.
-            assert planner.find_documents(people, query) == people.find(
-                filter_doc, hint={"no_semantic": True}
+            assert planner.find_documents(people, query) == off.find(
+                filter_doc
             ), filter_doc
 
     def test_summary_widened_between_proof_and_execution(self):

@@ -198,11 +198,12 @@ class TestPruningEffectiveness:
                 assert explain.matched <= explain.scanned <= explain.total
             assert explain.matched == len(planner.match_ids(collection, query))
 
-    def test_explain_counts_are_consistent_without_semantics(self, collection):
+    def test_explain_counts_are_consistent_without_semantics(self):
+        off = api.collection(DOCS, optimize="off")
         for query in all_queries():
-            explain = planner.explain(collection, query, no_semantic=True)
+            explain = planner.explain(off, query)
             assert explain.semantics is None
-            assert explain.total == len(collection)
+            assert explain.total == len(off)
             assert explain.matched <= explain.scanned <= explain.total
 
 

@@ -223,6 +223,15 @@ class TestErrorRehydration:
         with pytest.raises(StoreError):
             remote.collection().validate({"name": "Sue"})
 
+    def test_unknown_envelope_fields_are_ignored(self, served):
+        remote, _ = served
+        filter_doc = {"age": {"$gt": 40}}
+        expected = remote.collection().count(filter_doc)
+        for extra in ({"hint": {"no_semantic": True}}, {"hint": "x"}):
+            assert remote.request(
+                "count", collection="main", filter=filter_doc, **extra
+            ) == expected
+
     def test_unknown_op_is_a_wire_protocol_error(self, served):
         remote, _ = served
         with pytest.raises(WireProtocolError):

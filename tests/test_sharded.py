@@ -20,6 +20,7 @@ from repro.errors import DocumentRejectedError, StorageFormatError, StoreError
 from repro.mongo.aggregate import compile_pipeline
 from repro.query.stages import ACCUMULATORS
 from repro.store import (
+    EngineHealth,
     ShardedCollection,
     shard_name,
     shard_of,
@@ -475,6 +476,30 @@ class TestWorkerPool:
             # own request, not a reply left over from the scatters.
             survivor = next(i for i in range(20) if shard_of(i, 2) == 0)
             assert fleet.get_value(survivor) == PEOPLE[survivor]
+            # The rejected write reached no shard: the live one holds
+            # none of the ids the failed insert_many would have used.
+            live_ids = fleet.engine.request(0, "doc_ids", None)
+            assert live_ids == [i for i in range(20) if shard_of(i, 2) == 0]
+            assert not any(
+                fleet.engine.request(0, "contains", doc_id)
+                for doc_id in (20, 21)
+            )
+        finally:
+            fleet.close()
+
+    def test_dead_worker_health_reports_degraded_shard(self):
+        fleet = ShardedCollection(PEOPLE[:20], shards=2, parallel=True)
+        try:
+            if not fleet.parallel:
+                pytest.skip("no usable worker pool")
+            victim = fleet.engine._workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5)
+            live, dead = fleet.health
+            assert live.ok and not live.degraded
+            assert dead == EngineHealth(
+                ok=False, degraded=True, reason="shard worker died"
+            )
         finally:
             fleet.close()
 
